@@ -56,6 +56,11 @@ fn campaign_is_byte_identical_at_any_worker_count() {
         base.trace.frames > 500,
         "the workload produced real traffic"
     );
+    assert_eq!(
+        (base.trace.digest, base.chaos[0].digest),
+        (0x05c4_f55e_0a45_751f, 0x809e_f99e_6953_5076),
+        "the chaos star drifted off its pinned wire and campaign digests"
+    );
     for workers in [2usize, 4] {
         let out = chaos_star(workers);
         assert_eq!(

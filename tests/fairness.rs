@@ -20,8 +20,8 @@ use updk::wire::Impairments;
 
 const RUN: SimDuration = SimDuration::from_millis(150);
 
-fn contended(mode: TrafficMode, sched: AppSched) -> (f64, f64) {
-    let out = run_bandwidth_full(
+fn contended_run(mode: TrafficMode, sched: AppSched) -> capnet::SimOutcome {
+    run_bandwidth_full(
         ScenarioKind::Scenario2Contended,
         mode,
         RUN,
@@ -29,7 +29,11 @@ fn contended(mode: TrafficMode, sched: AppSched) -> (f64, f64) {
         Impairments::default(),
         sched,
     )
-    .expect("contended run");
+    .expect("contended run")
+}
+
+fn contended(mode: TrafficMode, sched: AppSched) -> (f64, f64) {
+    let out = contended_run(mode, sched);
     let reports = match mode {
         TrafficMode::Server => &out.servers,
         TrafficMode::Client => &out.clients,
@@ -39,7 +43,14 @@ fn contended(mode: TrafficMode, sched: AppSched) -> (f64, f64) {
 
 #[test]
 fn barging_reproduces_the_papers_unbalanced_client_split() {
-    let (a, b) = contended(TrafficMode::Client, AppSched::paper_barging());
+    let out = contended_run(TrafficMode::Client, AppSched::paper_barging());
+    // The barging policy keys on each client's ordinal on the service
+    // node, so this digest pins that ordinal.
+    assert_eq!(
+        out.trace.digest, 0x6fe142860a3ee3cc,
+        "the barging contended run drifted off its pinned digest"
+    );
+    let (a, b) = (out.clients[0].mbit_per_sec(), out.clients[1].mbit_per_sec());
     // Paper: 531 / 410 Mbit/s (ratio ≈ 1.30).
     assert!((a - 531.0).abs() < 25.0, "favored flow: {a:.0} (paper 531)");
     assert!((b - 410.0).abs() < 25.0, "starved flow: {b:.0} (paper 410)");

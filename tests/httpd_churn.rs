@@ -168,6 +168,10 @@ fn httpd_digest_identical_at_any_worker_count() {
     assert!(base.trace.frames > 0, "the scenario moved traffic");
     let ok: u64 = base.http_fleets.iter().map(|f| f.requests_ok).sum();
     assert!(ok > 0, "keep-alive mix completed requests");
+    assert_eq!(
+        base.trace.digest, 0x62bc3bfaf30eca8f,
+        "the keep-alive churn star drifted off its pinned digest"
+    );
     for workers in [2, 4] {
         // Adaptive selection off: a 4-leaf star would collapse back to
         // one engine, and this test exists to drive the sharded path.

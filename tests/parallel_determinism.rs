@@ -403,10 +403,90 @@ fn faulted_star_is_byte_identical_at_any_worker_count() {
     );
     let retries: u64 = base.http_fleets.iter().map(|f| f.retries).sum();
     assert!(retries > 0, "the partition actually triggered retries");
+    assert_eq!(
+        base.trace.digest, 0xb1913a8b4b3c0b9e,
+        "the faulted star drifted off its pinned digest"
+    );
     for workers in [2usize, 4] {
         let out = faulted_star(workers);
         assert_eq!(out.workers, workers, "the plan used the requested shards");
         assert_fault_equivalent(&base, &out, "faulted star8");
+    }
+}
+
+/// A star whose crashed hosts run every app class: the hub and leaf 2 of
+/// an iperf star (servers, a client) or the hub of an HTTP star (the
+/// serving plane), plus leaf 0, which carries a chaos campaign next to its
+/// client or fleet. Each crash drops the apps; each restart respawns them
+/// from their install-time blueprints on a fresh stack.
+fn respawn_star(http: bool, workers: usize) -> SimOutcome {
+    let ms = SimDuration::from_millis;
+    let mut plan = capnet::FaultPlan::new()
+        .node_crash(ms(8), capnet::FaultTarget::Hub)
+        .node_restart(ms(14), capnet::FaultTarget::Hub)
+        .node_crash(ms(10), capnet::FaultTarget::Leaf(0))
+        .node_restart(ms(18), capnet::FaultTarget::Leaf(0));
+    if !http {
+        plan = plan
+            .node_crash(ms(12), capnet::FaultTarget::Leaf(2))
+            .node_restart(ms(20), capnet::FaultTarget::Leaf(2));
+    }
+    let mut spec = capnet::ScenarioSpec::star(4)
+        .duration(ms(40))
+        .costs(CostModel::morello())
+        .seed(0x5E5B)
+        .workers(workers)
+        .adaptive_workers(false)
+        .chaos(capnet_chaos::ChaosConfig {
+            rounds: 100,
+            wire: Some(capnet_chaos::WireChaosConfig::default()),
+            walker: Some(capnet_chaos::WalkerConfig::default()),
+            ..capnet_chaos::ChaosConfig::default()
+        })
+        .faults(plan);
+    if http {
+        spec = spec.http(
+            capnet_httpd::HttpServerConfig::default(),
+            capnet_httpd::FleetConfig {
+                rate_per_sec: 3_000,
+                retry_budget: 2,
+                ..capnet_httpd::FleetConfig::default()
+            },
+        );
+    }
+    spec.run().expect("respawn star runs")
+}
+
+#[test]
+fn crashed_apps_of_every_class_respawn_byte_identically() {
+    for (http, pinned) in [
+        (false, 0xfb3a_b8b2_f513_9101u64),
+        (true, 0xcc7f_49c2_95fd_3938),
+    ] {
+        let base = respawn_star(http, 1);
+        let crashes = if http { 2 } else { 3 };
+        assert_eq!(base.fault_stats.node_crashes, crashes);
+        assert_eq!(base.fault_stats.node_restarts, crashes);
+        assert_eq!(base.chaos.len(), 1, "the respawned campaign reports");
+        assert!(base.chaos[0].rounds > 0, "the respawned campaign ran");
+        if http {
+            assert_eq!(base.http_servers.len(), 1, "the respawned server reports");
+            assert!(base.http_servers[0].requests > 0, "it served after restart");
+        } else {
+            assert_eq!(base.servers.len(), 4, "every respawned server reports");
+            // The restarted leaves reconnect to the restarted hub.
+            assert!(base.servers[0].bytes > 0 && base.servers[2].bytes > 0);
+        }
+        assert_eq!(
+            base.trace.digest, pinned,
+            "http={http}: the respawn star drifted off its pinned digest"
+        );
+        let out = respawn_star(http, 2);
+        assert_eq!(out.workers, 2, "the plan used the requested shards");
+        assert_fault_equivalent(&base, &out, "respawn star");
+        assert_eq!(base.servers, out.servers, "iperf server reports");
+        assert_eq!(base.clients, out.clients, "iperf client reports");
+        assert_eq!(base.chaos, out.chaos, "chaos reports");
     }
 }
 
