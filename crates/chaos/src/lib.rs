@@ -39,6 +39,7 @@ pub mod tcpforge;
 pub mod walker;
 
 pub use bitflip::{BitFlipConfig, BitFlipInjector, BitFlipReport};
+pub use fstack::StepOutcome;
 pub use malformed::{MalformedFrameApp, WireChaosConfig, WireChaosReport};
 pub use tcpforge::{TcpForgeApp, TcpForgeConfig, TcpForgeReport};
 pub use walker::{CapabilityWalker, WalkerConfig, WalkerReport};
@@ -82,20 +83,6 @@ impl Default for ChaosDigest {
     fn default() -> Self {
         ChaosDigest::new()
     }
-}
-
-/// What one [`ChaosApp::step`] did — the same shape the HTTP apps report,
-/// so the engine charges isolation costs and schedules identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStepOutcome {
-    /// `ff_*` calls issued (each wire injection is one).
-    pub ff_calls: u32,
-    /// Bytes pushed onto the wire.
-    pub bytes: u64,
-    /// The campaign has run all its rounds.
-    pub finished: bool,
-    /// Whether any injector made progress.
-    pub progressed: bool,
 }
 
 /// A campaign: which injector families run, and the pacing they share.
@@ -257,8 +244,8 @@ impl ChaosApp {
 
     /// Runs every due round: each fires one wire volley, one capability
     /// probe and one flip, per enabled family.
-    pub fn step(&mut self, stack: &mut FStack, now: SimTime) -> ChaosStepOutcome {
-        let mut out = ChaosStepOutcome::default();
+    pub fn step(&mut self, stack: &mut FStack, now: SimTime) -> StepOutcome {
+        let mut out = StepOutcome::default();
         if self.finished {
             out.finished = true;
             return out;

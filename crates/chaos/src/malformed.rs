@@ -15,7 +15,7 @@
 //! rejection in their `parse_drop_*` counters; the campaign asserts the
 //! sum is positive and nothing panics.
 
-use crate::{ChaosDigest, ChaosStepOutcome};
+use crate::{ChaosDigest, StepOutcome};
 use fstack::arp::ArpPacket;
 use fstack::ether::{EthHdr, EtherType, ETH_HDR_LEN};
 use fstack::ip::{IpProto, Ipv4Hdr, IPV4_HDR_LEN};
@@ -88,12 +88,7 @@ impl MalformedFrameApp {
     }
 
     /// Emits one round of mutated frames through `stack`'s transmit path.
-    pub fn round(
-        &mut self,
-        stack: &mut FStack,
-        digest: &mut ChaosDigest,
-        out: &mut ChaosStepOutcome,
-    ) {
+    pub fn round(&mut self, stack: &mut FStack, digest: &mut ChaosDigest, out: &mut StepOutcome) {
         for _ in 0..self.cfg.frames_per_round {
             let class = self.rng.below(N_CLASSES);
             let frame = self.craft(class);
@@ -346,7 +341,7 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 5),
         ));
         let (mut da, mut db) = (ChaosDigest::new(), ChaosDigest::new());
-        let (mut oa, mut ob) = (ChaosStepOutcome::default(), ChaosStepOutcome::default());
+        let (mut oa, mut ob) = (StepOutcome::default(), StepOutcome::default());
         for _ in 0..16 {
             a.round(&mut stack_a, &mut da, &mut oa);
             b.round(&mut stack_b, &mut db, &mut ob);

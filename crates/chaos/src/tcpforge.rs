@@ -22,7 +22,7 @@
 //! legitimate traffic; the campaign asserts the victim's forgery
 //! counters moved while its serving counters kept climbing.
 
-use crate::{ChaosDigest, ChaosStepOutcome};
+use crate::{ChaosDigest, StepOutcome};
 use fstack::ether::{EthHdr, EtherType};
 use fstack::ip::{IpProto, Ipv4Hdr};
 use fstack::tcp::{TcpFlags, TcpOptions, TcpSegment};
@@ -101,12 +101,7 @@ impl TcpForgeApp {
 
     /// Emits one round of forged segments through `stack`'s transmit
     /// path.
-    pub fn round(
-        &mut self,
-        stack: &mut FStack,
-        digest: &mut ChaosDigest,
-        out: &mut ChaosStepOutcome,
-    ) {
+    pub fn round(&mut self, stack: &mut FStack, digest: &mut ChaosDigest, out: &mut StepOutcome) {
         for _ in 0..self.cfg.frames_per_round {
             // Draws in fixed order: port, sequence, kind.
             let span = u64::from(self.cfg.ephemeral_hi.saturating_sub(self.cfg.ephemeral_lo)) + 1;
@@ -232,7 +227,7 @@ mod tests {
         );
         let mut atk = FStack::new(StackConfig::new("atk", MacAddr::local(9), client_ip));
         let mut digest = ChaosDigest::new();
-        let mut out = ChaosStepOutcome::default();
+        let mut out = StepOutcome::default();
         forger.round(&mut atk, &mut digest, &mut out);
         now += simkern::time::SimDuration::from_micros(50);
         for f in atk.poll_tx(now) {
@@ -271,7 +266,7 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 9),
         ));
         let (mut da, mut db) = (ChaosDigest::new(), ChaosDigest::new());
-        let (mut oa, mut ob) = (ChaosStepOutcome::default(), ChaosStepOutcome::default());
+        let (mut oa, mut ob) = (StepOutcome::default(), StepOutcome::default());
         for _ in 0..8 {
             a.round(&mut sa, &mut da, &mut oa);
             b.round(&mut sb, &mut db, &mut ob);

@@ -8,18 +8,16 @@
 //! isolation charges (trampolines, cross-cVM wrappers, the Scenario 2
 //! service mutex).
 
+use crate::app::{AppClass, AppSlot, FdRoute, Respawn};
 use crate::parallel::{LookaheadMatrix, Profitability};
 use crate::topology::{partition_shards, ShardGraph, ShardPlan};
 use crate::CapnetError;
-use capnet_chaos::{ChaosApp, ChaosConfig, ChaosReport};
-use capnet_httpd::{
-    FleetApp, FleetConfig, FleetReport, HttpServerApp, HttpServerConfig, HttpServerReport,
-    StepOutcome as HttpStepOutcome,
-};
+use capnet_chaos::ChaosReport;
+use capnet_httpd::{FleetReport, HttpServerReport};
 use cheri::{Capability, TaggedMemory};
 use fstack::loop_::{rx_phase, tx_phase, ServiceMutex};
 use fstack::{CcAlgo, FStack, StackConfig};
-use iperf::{BandwidthReport, ClientApp, ServerApp, StepOutcome};
+use iperf::BandwidthReport;
 use simkern::cost::CostModel;
 use simkern::engine::{Engine, EventHandle, OrderKey, World};
 use simkern::rng::SimRng;
@@ -220,42 +218,6 @@ impl FaultStats {
         self.node_restarts += o.node_restarts;
         self.frames_to_dead += o.frames_to_dead;
     }
-}
-
-/// The install-time blueprint of one application, recorded by the
-/// `add_*` installers so [`Fault::NodeRestart`] can rebuild the node's
-/// apps from scratch — same labels, same configs, same seeds, same
-/// (persistent) memory-arena buffers.
-enum AppSpec {
-    Server {
-        label: String,
-        port: u16,
-        buf: Capability,
-    },
-    Client {
-        label: String,
-        remote: (Ipv4Addr, u16),
-        duration: SimDuration,
-        write_gap: SimDuration,
-        buf: Capability,
-    },
-    Http {
-        label: String,
-        port: u16,
-        cfg: HttpServerConfig,
-        buf: Capability,
-    },
-    Fleet {
-        label: String,
-        cfg: FleetConfig,
-        seed: u64,
-        buf: Capability,
-    },
-    Chaos {
-        label: String,
-        cfg: ChaosConfig,
-        seed: u64,
-    },
 }
 
 /// Per-kind event counters for one run: the *why* behind `events_per_sec`
@@ -473,15 +435,8 @@ struct Node {
     port: usize,
     mem: usize,
     stack: FStack,
-    servers: Vec<Option<ServerApp>>,
-    clients: Vec<Option<ClientApp>>,
-    /// HTTP serving-plane apps (stepped after the iperf apps, so adding
-    /// them to a scenario never perturbs an existing iperf-only digest).
-    https: Vec<Option<HttpServerApp>>,
-    fleets: Vec<Option<FleetApp>>,
-    /// Fault-injection campaigns (stepped after every serving app, so a
-    /// chaos-free scenario's digest is untouched by this slot existing).
-    chaos: Vec<Option<ChaosApp>>,
+    /// The node's apps in step order: (class rank, install order).
+    apps: Vec<AppSlot>,
     profile: IsolationProfile,
     turns: u64,
     /// `true` when app steps are gated on the stack's dirty-fd set (ideal
@@ -490,9 +445,9 @@ struct Node {
     /// `ff_*` calls would change the accounted iteration cost). Resolved
     /// at `run()` start.
     gated: bool,
-    /// fd → app slot (servers first, then clients) for dirty-fd routing.
+    /// fd → index into `apps`, for dirty-fd routing.
     app_of_fd: Vec<Option<u32>>,
-    /// Per-app-slot "a step could progress" flags.
+    /// Per-app "a step could progress" flags, indexed like `apps`.
     runnable: Vec<bool>,
     /// Scratch for draining the stack's dirty-fd set (no per-turn alloc).
     fd_scratch: Vec<chos::fdtable::Fd>,
@@ -520,9 +475,28 @@ struct Node {
     /// loop is dead, the stack is an empty husk, and arriving frames are
     /// discarded at the NIC.
     crashed: bool,
-    /// Install-time app blueprints, in installation order, for
-    /// [`Fault::NodeRestart`] reconstruction.
-    specs: Vec<AppSpec>,
+}
+
+impl Node {
+    /// Marks every app runnable and rebuilds the dirty-fd routing from
+    /// each app's fds (run start and restart).
+    fn route_fds(&mut self) {
+        self.runnable = vec![true; self.apps.len()];
+        for (slot, a) in self.apps.iter_mut().enumerate() {
+            if let Some(app) = &mut a.app {
+                let app_of_fd = &mut self.app_of_fd;
+                let slot = slot as u32;
+                app.fds(false, &mut FdRoute { app_of_fd, slot });
+            }
+        }
+    }
+
+    /// Takes every live app's report into `out`, in step order.
+    fn report(&mut self, end: SimTime, out: &mut SimOutcome) {
+        for app in self.apps.iter_mut().filter_map(|a| a.app.take()) {
+            app.report(end, out);
+        }
+    }
 }
 
 /// A cross-shard frame payload — never a byte-for-byte rebuild.
@@ -1035,11 +1009,7 @@ impl NetSim {
             port,
             mem: mem_idx,
             stack,
-            servers: Vec::new(),
-            clients: Vec::new(),
-            https: Vec::new(),
-            fleets: Vec::new(),
-            chaos: Vec::new(),
+            apps: Vec::new(),
             profile,
             turns: 0,
             gated: false,
@@ -1052,7 +1022,6 @@ impl NetSim {
             wake: None,
             anchor: SimTime::ZERO,
             crashed: false,
-            specs: Vec::new(),
         });
         Ok(NodeId(self.nodes.len() - 1))
     }
@@ -1109,7 +1078,13 @@ impl NetSim {
         );
     }
 
-    fn carve_app_buf(&mut self, node: NodeId, fill: Option<u8>) -> Result<Capability, CapnetError> {
+    /// Carves a fresh `APP_BUF`-sized app buffer out of `node`'s arena,
+    /// optionally filled with byte `fill`.
+    pub(crate) fn carve_app_buf(
+        &mut self,
+        node: NodeId,
+        fill: Option<u8>,
+    ) -> Result<Capability, CapnetError> {
         let mem_idx = self.nodes[node.0].mem;
         let base = self.mem_bump[mem_idx].next_multiple_of(16);
         self.mem_bump[mem_idx] = base + APP_BUF;
@@ -1123,137 +1098,41 @@ impl NetSim {
         Ok(cap)
     }
 
-    /// Installs an iperf server (receiver) on `node` listening at `port`.
-    pub fn add_server(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        port: u16,
-    ) -> Result<(), CapnetError> {
-        let label = label.into();
-        let buf = self.carve_app_buf(node, None)?;
-        let n = &mut self.nodes[node.0];
-        let app = ServerApp::start(&mut n.stack, label.clone(), port, buf)?;
-        n.servers.push(Some(app));
-        n.specs.push(AppSpec::Server { label, port, buf });
-        Ok(())
-    }
-
-    /// Installs an iperf client (sender) on `node`, targeting
-    /// `remote:port`, sending for `duration` once connected.
-    pub fn add_client(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        remote: (Ipv4Addr, u16),
-        duration: SimDuration,
-        write_gap: SimDuration,
-    ) -> Result<(), CapnetError> {
-        let label = label.into();
-        let buf = self.carve_app_buf(node, Some(0xA5))?;
-        let n = &mut self.nodes[node.0];
-        let mut app = ClientApp::start(
-            &mut n.stack,
-            label.clone(),
-            remote,
-            buf,
-            duration,
-            SimTime::ZERO,
-        )?;
-        app.set_write_gap(write_gap);
-        n.clients.push(Some(app));
-        n.specs.push(AppSpec::Client {
-            label,
-            remote,
-            duration,
-            write_gap,
-            buf,
-        });
-        Ok(())
-    }
-
-    /// Installs an HTTP static server (the serving plane) on `node`,
-    /// listening at `port` with the given server policy.
-    pub fn add_http_server(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        port: u16,
-        cfg: HttpServerConfig,
-    ) -> Result<(), CapnetError> {
-        let label = label.into();
-        let buf = self.carve_app_buf(node, None)?;
-        let n = &mut self.nodes[node.0];
-        let app = HttpServerApp::start(&mut n.stack, label.clone(), port, buf, cfg.clone())?;
-        n.https.push(Some(app));
-        n.specs.push(AppSpec::Http {
-            label,
-            port,
-            cfg,
-            buf,
-        });
-        Ok(())
-    }
-
-    /// Installs an open-loop HTTP client fleet on `node`. Its RNG stream
-    /// derives from the scenario seed, the node index and the fleet's
-    /// slot, so parallel fleets draw independently and a run is a pure
-    /// function of [`Self::set_seed`].
-    pub fn add_http_fleet(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        cfg: FleetConfig,
-    ) -> Result<(), CapnetError> {
-        let buf = self.carve_app_buf(node, Some(0x5A))?;
-        let slot = self.nodes[node.0].fleets.len();
-        let seed = self.seed
+    /// The RNG seed of the next `class` app on `node`: the scenario seed
+    /// mixed with the node index, the app's ordinal within its class on
+    /// that node, and a per-class `salt` that keeps the streams apart.
+    pub(crate) fn app_seed(&self, node: NodeId, class: AppClass, salt: u64) -> u64 {
+        let slot = self.nodes[node.0]
+            .apps
+            .iter()
+            .filter(|a| a.class == class)
+            .count();
+        self.seed
             ^ (node.0 as u64 + 1).wrapping_mul(0x0000_0100_0000_01B3)
             ^ (slot as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ 0x4854_5450; // "HTTP": keep fleet streams off the port-RNG streams
-        let label = label.into();
+            ^ salt
+    }
+
+    /// Builds an app from its blueprint at t=0 and slots it into `node`'s
+    /// list after every app of the same or lower class rank.
+    pub(crate) fn install(
+        &mut self,
+        node: NodeId,
+        class: AppClass,
+        respawn: Respawn,
+    ) -> Result<(), CapnetError> {
         let n = &mut self.nodes[node.0];
-        let app = FleetApp::start(
-            label.clone(),
-            &mut n.stack,
-            buf,
-            cfg.clone(),
-            seed,
-            SimTime::ZERO,
+        let app = respawn(&mut n.stack, SimTime::ZERO)?;
+        let at = n.apps.partition_point(|a| a.class <= class);
+        n.apps.insert(
+            at,
+            AppSlot {
+                class,
+                clocked: app.clocked(),
+                respawn,
+                app: Some(app),
+            },
         );
-        n.fleets.push(Some(app));
-        n.specs.push(AppSpec::Fleet {
-            label,
-            cfg,
-            seed,
-            buf,
-        });
-        Ok(())
-    }
-
-    /// Installs a fault-injection campaign on `node`. The campaign's RNG
-    /// streams derive from the scenario seed, the node index and the
-    /// campaign slot (same scheme as [`Self::add_http_fleet`]), so a run
-    /// is a pure function of [`Self::set_seed`]. Wire chaos transmits
-    /// through the node's own stack; the capability walker and bit-flip
-    /// injector own private arenas and never touch workload memory.
-    pub fn add_chaos(
-        &mut self,
-        node: NodeId,
-        label: impl Into<String>,
-        cfg: ChaosConfig,
-    ) -> Result<(), CapnetError> {
-        let slot = self.nodes[node.0].chaos.len();
-        let seed = self.seed
-            ^ (node.0 as u64 + 1).wrapping_mul(0x0000_0100_0000_01B3)
-            ^ (slot as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ 0x4348_414F; // "CHAO": keep chaos streams off the fleet/port streams
-        let label = label.into();
-        let n = &mut self.nodes[node.0];
-        let (mac, ip) = (n.stack.config().mac, n.stack.config().ip);
-        let app = ChaosApp::new(label.clone(), cfg.clone(), seed, mac, ip);
-        n.chaos.push(Some(app));
-        n.specs.push(AppSpec::Chaos { label, cfg, seed });
         Ok(())
     }
 
@@ -1385,47 +1264,9 @@ impl NetSim {
             let (d, p) = (self.nodes[i].dev, self.nodes[i].port);
             self.nodes[i].cabled = self.links.get(&Ep::Dev(d, p)).copied();
             self.dev_owner[d][p] = Some(i);
-            // Dirty-fd app gating (ideal hosts): seed everything runnable
-            // and map each app's fds so stack changes route to their app.
             let node = &mut self.nodes[i];
             node.gated = node.profile.per_ff_call_ns == 0 && !node.profile.s2_service;
-            let slots = node.servers.len()
-                + node.clients.len()
-                + node.https.len()
-                + node.fleets.len()
-                + node.chaos.len();
-            node.runnable = vec![true; slots];
-            for (si, s) in node.servers.iter().enumerate() {
-                if let Some(app) = s {
-                    Self::note_app_fd(&mut node.app_of_fd, app.listen_fd(), si as u32);
-                    for &fd in app.conn_fds() {
-                        Self::note_app_fd(&mut node.app_of_fd, fd, si as u32);
-                    }
-                }
-            }
-            let base = node.servers.len() as u32;
-            for (ci, c) in node.clients.iter().enumerate() {
-                if let Some(app) = c {
-                    Self::note_app_fd(&mut node.app_of_fd, app.sock_fd(), base + ci as u32);
-                }
-            }
-            let base = base + node.clients.len() as u32;
-            for (hi, h) in node.https.iter_mut().enumerate() {
-                if let Some(app) = h {
-                    Self::note_app_fd(&mut node.app_of_fd, app.listen_fd(), base + hi as u32);
-                    for &fd in app.conn_fds() {
-                        Self::note_app_fd(&mut node.app_of_fd, fd, base + hi as u32);
-                    }
-                }
-            }
-            let base = base + node.https.len() as u32;
-            for (fi, f) in node.fleets.iter_mut().enumerate() {
-                if let Some(app) = f {
-                    for &fd in app.conn_fds() {
-                        Self::note_app_fd(&mut node.app_of_fd, fd, base + fi as u32);
-                    }
-                }
-            }
+            node.route_fds();
         }
         self.sw_cabled = self
             .switches
@@ -1488,43 +1329,6 @@ impl NetSim {
         let events = engine.executed();
         self.counters.boxed_events = engine.boxed_scheduled();
 
-        // Collect reports.
-        let mut servers = Vec::new();
-        let mut clients = Vec::new();
-        let mut http_servers = Vec::new();
-        let mut http_fleets = Vec::new();
-        let mut chaos = Vec::new();
-        let mut mutex_stats = None;
-        for node in &mut self.nodes {
-            for s in node.servers.iter_mut() {
-                if let Some(app) = s.take() {
-                    servers.push(app.report(end));
-                }
-            }
-            for c in node.clients.iter_mut() {
-                if let Some(app) = c.take() {
-                    clients.push(app.report(end));
-                }
-            }
-            for h in node.https.iter_mut() {
-                if let Some(app) = h.take() {
-                    http_servers.push(app.report(end));
-                }
-            }
-            for f in node.fleets.iter_mut() {
-                if let Some(app) = f.take() {
-                    http_fleets.push(app.report(end));
-                }
-            }
-            for c in node.chaos.iter_mut() {
-                if let Some(app) = c.take() {
-                    chaos.push(app.report());
-                }
-            }
-        }
-        if let Some(m) = &self.s2_mutex {
-            mutex_stats = Some((m.acquisitions(), m.contentions(), m.total_wait()));
-        }
         let mut port_stats = Vec::new();
         let mut stack_stats = Vec::new();
         for node in &self.nodes {
@@ -1532,12 +1336,16 @@ impl NetSim {
             stack_stats.push((node.name.clone(), node.stack.stats()));
         }
         let switch_stats = self.switches.iter().map(LinkFabric::stats).collect();
-        Ok(SimOutcome {
-            servers,
-            clients,
-            http_servers,
-            http_fleets,
-            chaos,
+        let mutex_stats = self
+            .s2_mutex
+            .as_ref()
+            .map(|m| (m.acquisitions(), m.contentions(), m.total_wait()));
+        let mut out = SimOutcome {
+            servers: Vec::new(),
+            clients: Vec::new(),
+            http_servers: Vec::new(),
+            http_fleets: Vec::new(),
+            chaos: Vec::new(),
             ended_at: end,
             horizon: stop,
             events,
@@ -1552,7 +1360,11 @@ impl NetSim {
             workers: 1,
             lookahead_ns: lookahead_hint,
             rounds: RoundCounters::default(),
-        })
+        };
+        for node in &mut self.nodes {
+            node.report(end, &mut out);
+        }
+        Ok(out)
     }
 
     /// The topology/constraint view the shard partitioner plans over.
@@ -1560,17 +1372,7 @@ impl NetSim {
         let mut g = ShardGraph {
             nodes: self.nodes.len(),
             switches: self.switches.len(),
-            node_weight: self
-                .nodes
-                .iter()
-                .map(|n| {
-                    1 + (n.servers.len()
-                        + n.clients.len()
-                        + n.https.len()
-                        + n.fleets.len()
-                        + n.chaos.len()) as u64
-                })
-                .collect(),
+            node_weight: self.nodes.iter().map(|n| 1 + n.apps.len() as u64).collect(),
             ..ShardGraph::default()
         };
         for (i, node) in self.nodes.iter().enumerate() {
@@ -1708,11 +1510,7 @@ impl NetSim {
                 ),
                 0, // never opens a socket; size no per-fd bookkeeping
             ),
-            servers: Vec::new(),
-            clients: Vec::new(),
-            https: Vec::new(),
-            fleets: Vec::new(),
-            chaos: Vec::new(),
+            apps: Vec::new(),
             profile: IsolationProfile::default(),
             turns: 0,
             gated: false,
@@ -1725,7 +1523,6 @@ impl NetSim {
             wake: None,
             anchor: SimTime::ZERO,
             crashed: false,
-            specs: Vec::new(),
         }
     }
 
@@ -2212,49 +2009,13 @@ impl NetSim {
         }
         drop(log);
 
-        let mut servers = Vec::new();
-        let mut clients = Vec::new();
-        let mut http_servers = Vec::new();
-        let mut http_fleets = Vec::new();
-        let mut chaos = Vec::new();
         let mut port_stats = Vec::new();
         let mut stack_stats = Vec::new();
         for i in 0..plan.node_shard.len() {
-            let sim = &mut cells[plan.node_shard[i]].sim;
-            {
-                let node = &mut sim.nodes[i];
-                for s in node.servers.iter_mut() {
-                    if let Some(app) = s.take() {
-                        servers.push(app.report(end));
-                    }
-                }
-                for c in node.clients.iter_mut() {
-                    if let Some(app) = c.take() {
-                        clients.push(app.report(end));
-                    }
-                }
-                for h in node.https.iter_mut() {
-                    if let Some(app) = h.take() {
-                        http_servers.push(app.report(end));
-                    }
-                }
-                for f in node.fleets.iter_mut() {
-                    if let Some(app) = f.take() {
-                        http_fleets.push(app.report(end));
-                    }
-                }
-                for c in node.chaos.iter_mut() {
-                    if let Some(app) = c.take() {
-                        chaos.push(app.report());
-                    }
-                }
-            }
-            let (name, dev, port) = {
-                let n = &sim.nodes[i];
-                (n.name.clone(), n.dev, n.port)
-            };
-            port_stats.push((name.clone(), sim.devs[dev].stats(port)));
-            stack_stats.push((name, sim.nodes[i].stack.stats()));
+            let sim = &cells[plan.node_shard[i]].sim;
+            let n = &sim.nodes[i];
+            port_stats.push((n.name.clone(), sim.devs[n.dev].stats(n.port)));
+            stack_stats.push((n.name.clone(), n.stack.stats()));
         }
         let switch_stats = (0..plan.switch_shard.len())
             .map(|s| cells[plan.switch_shard[s]].sim.switches[s].stats())
@@ -2265,12 +2026,12 @@ impl NetSim {
                 .as_ref()
                 .map(|m| (m.acquisitions(), m.contentions(), m.total_wait()))
         });
-        SimOutcome {
-            servers,
-            clients,
-            http_servers,
-            http_fleets,
-            chaos,
+        let mut out = SimOutcome {
+            servers: Vec::new(),
+            clients: Vec::new(),
+            http_servers: Vec::new(),
+            http_fleets: Vec::new(),
+            chaos: Vec::new(),
             ended_at: end,
             horizon: stop,
             events,
@@ -2285,17 +2046,11 @@ impl NetSim {
             workers: plan.workers,
             lookahead_ns,
             rounds,
+        };
+        for (i, &shard) in plan.node_shard.iter().enumerate() {
+            cells[shard].sim.nodes[i].report(end, &mut out);
         }
-    }
-
-    /// Records that `fd` belongs to app `slot` on its node (dirty-fd
-    /// routing table; grown on demand, entries overwritten on fd reuse).
-    fn note_app_fd(app_of_fd: &mut Vec<Option<u32>>, fd: chos::fdtable::Fd, slot: u32) {
-        let idx = fd as usize;
-        if idx >= app_of_fd.len() {
-            app_of_fd.resize(idx + 1, None);
-        }
-        app_of_fd[idx] = Some(slot);
+        out
     }
 
     /// Stable [`simkern::engine::OrderKey`] origin of node `i`'s handlers.
@@ -2420,11 +2175,9 @@ impl NetSim {
         }
         node.parked = false;
         node.epoch += 1;
-        node.servers.clear();
-        node.clients.clear();
-        node.https.clear();
-        node.fleets.clear();
-        node.chaos.clear();
+        for slot in &mut node.apps {
+            slot.app = None;
+        }
         node.app_of_fd.clear();
         node.runnable.clear();
         node.fd_scratch.clear();
@@ -2433,10 +2186,11 @@ impl NetSim {
     }
 
     /// [`Fault::NodeRestart`]: a fresh stack with the same interface
-    /// config, every app rebuilt from its install-time blueprint (same
-    /// labels, configs, seeds and arena buffers — listeners come back,
-    /// fleets re-launch their schedule from `now`), and the poll loop
-    /// boots again shortly after. A no-op unless the node is crashed.
+    /// config, every app rebuilt from its install-time blueprint in step
+    /// order (same labels, configs, seeds and arena buffers — listeners
+    /// come back, fleets re-launch their schedule from `now`), and the
+    /// poll loop boots again shortly after. A no-op unless the node is
+    /// crashed.
     fn restart_node(&mut self, i: usize, engine: &mut Engine<NetSim>) {
         let now = engine.now();
         let node = &mut self.nodes[i];
@@ -2450,103 +2204,10 @@ impl NetSim {
         node.parked = false;
         node.epoch += 1;
         node.anchor = now;
-        let specs = std::mem::take(&mut node.specs);
-        for spec in &specs {
-            match spec {
-                AppSpec::Server { label, port, buf } => {
-                    node.servers
-                        .push(ServerApp::start(&mut node.stack, label.clone(), *port, *buf).ok());
-                }
-                AppSpec::Client {
-                    label,
-                    remote,
-                    duration,
-                    write_gap,
-                    buf,
-                } => {
-                    let app = ClientApp::start(
-                        &mut node.stack,
-                        label.clone(),
-                        *remote,
-                        *buf,
-                        *duration,
-                        now,
-                    )
-                    .map(|mut app| {
-                        app.set_write_gap(*write_gap);
-                        app
-                    });
-                    node.clients.push(app.ok());
-                }
-                AppSpec::Http {
-                    label,
-                    port,
-                    cfg,
-                    buf,
-                } => {
-                    node.https.push(
-                        HttpServerApp::start(
-                            &mut node.stack,
-                            label.clone(),
-                            *port,
-                            *buf,
-                            cfg.clone(),
-                        )
-                        .ok(),
-                    );
-                }
-                AppSpec::Fleet {
-                    label,
-                    cfg,
-                    seed,
-                    buf,
-                } => {
-                    node.fleets.push(Some(FleetApp::start(
-                        label.clone(),
-                        &mut node.stack,
-                        *buf,
-                        cfg.clone(),
-                        *seed,
-                        now,
-                    )));
-                }
-                AppSpec::Chaos { label, cfg, seed } => {
-                    let (mac, ip) = (node.stack.config().mac, node.stack.config().ip);
-                    node.chaos.push(Some(ChaosApp::new(
-                        label.clone(),
-                        cfg.clone(),
-                        *seed,
-                        mac,
-                        ip,
-                    )));
-                }
-            }
+        for slot in &mut node.apps {
+            slot.app = (slot.respawn)(&mut node.stack, now).ok();
         }
-        node.specs = specs;
-        // Rebuild the dirty-fd routing exactly as `resolve_caches` did.
-        let slots = node.servers.len()
-            + node.clients.len()
-            + node.https.len()
-            + node.fleets.len()
-            + node.chaos.len();
-        node.runnable = vec![true; slots];
-        for (si, s) in node.servers.iter().enumerate() {
-            if let Some(app) = s {
-                Self::note_app_fd(&mut node.app_of_fd, app.listen_fd(), si as u32);
-            }
-        }
-        let base = node.servers.len() as u32;
-        for (ci, c) in node.clients.iter().enumerate() {
-            if let Some(app) = c {
-                Self::note_app_fd(&mut node.app_of_fd, app.sock_fd(), base + ci as u32);
-            }
-        }
-        let base = base + node.clients.len() as u32;
-        for (hi, h) in node.https.iter_mut().enumerate() {
-            if let Some(app) = h {
-                Self::note_app_fd(&mut node.app_of_fd, app.listen_fd(), base + hi as u32);
-            }
-        }
+        node.route_fds();
         // The reborn host boots like the originals did: first poll
         // iteration a beat after the restart instant.
         engine.schedule_from(
@@ -2684,11 +2345,7 @@ impl NetSim {
         // accounted cost there.
         let Node {
             stack,
-            servers,
-            clients,
-            https,
-            fleets,
-            chaos,
+            apps,
             gated,
             app_of_fd,
             runnable,
@@ -2705,124 +2362,37 @@ impl NetSim {
                 }
             }
         }
-        let n_servers = servers.len();
-        // Servers always step when ungated: the convoy forms on the write
-        // path (ff_write holds the service mutex against the main loop),
-        // while reads of already-sorted RX data are short — which is why
-        // the paper's server rows stay even (470/470) on the same testbed
-        // whose client rows split 531/410.
-        for (si, s) in servers.iter_mut().enumerate() {
-            let Some(app) = s else { continue };
-            if gated && !runnable[si] {
-                continue;
-            }
-            runnable[si] = false;
-            if let Ok(StepOutcome {
-                ff_calls: calls,
-                progressed: moved,
-                ..
-            }) = app.step(stack, mem, now)
-            {
-                ff_calls += u64::from(calls);
-                progressed |= moved;
-                if moved {
-                    // Accepts may have added connections: refresh routing.
-                    Self::note_app_fd(app_of_fd, app.listen_fd(), si as u32);
-                    for &fd in app.conn_fds() {
-                        Self::note_app_fd(app_of_fd, fd, si as u32);
-                    }
+        // Apps step in class rank × install order (servers, clients, HTTP
+        // servers, fleets, chaos), so each newer class steps after every
+        // older one and never perturbs an older scenario's digest. The
+        // scheduling policy gates clients by their ordinal among the
+        // node's client slots, empty ones included. Servers never gate
+        // on it: the convoy forms on the write path (ff_write holds the
+        // service mutex against the main loop), while reads of
+        // already-sorted RX data are short — which is why the paper's
+        // server rows stay even (470/470) on the same testbed whose client
+        // rows split 531/410.
+        let mut client_ord = 0;
+        for (slot, a) in apps.iter_mut().enumerate() {
+            if a.class == AppClass::Client {
+                client_ord += 1;
+                if !sched.allows(client_ord - 1, turn) {
+                    continue;
                 }
             }
-        }
-        for (ci, c) in clients.iter_mut().enumerate() {
-            if !sched.allows(ci, turn) {
-                continue;
-            }
-            let Some(app) = c else { continue };
-            let slot = n_servers + ci;
-            if gated && !runnable[slot] && !app.due(now) {
+            let Some(app) = &mut a.app else { continue };
+            if gated && !runnable[slot] && !(a.clocked && app.due(now)) {
                 continue;
             }
             runnable[slot] = false;
-            if let Ok(StepOutcome {
-                ff_calls: calls,
-                progressed: moved,
-                ..
-            }) = app.step(stack, mem, now)
-            {
-                ff_calls += u64::from(calls);
-                progressed |= moved;
+            let out = app.step(stack, mem, now);
+            ff_calls += u64::from(out.ff_calls);
+            progressed |= out.progressed;
+            if out.progressed {
+                // Accepts and arrivals may have opened fds: re-route.
+                let slot = slot as u32;
+                app.fds(true, &mut FdRoute { app_of_fd, slot });
             }
-        }
-        // The HTTP serving plane steps after the iperf apps — appending
-        // slots keeps the step order (and so every pinned digest) of
-        // iperf-only scenarios untouched.
-        let base_http = n_servers + clients.len();
-        for (hi, h) in https.iter_mut().enumerate() {
-            let Some(app) = h else { continue };
-            let slot = base_http + hi;
-            // `due` lets the idle reaper fire on a gated host with no
-            // stack events pending (false whenever the knob is off).
-            if gated && !runnable[slot] && !app.due(now) {
-                continue;
-            }
-            runnable[slot] = false;
-            if let Ok(HttpStepOutcome {
-                ff_calls: calls,
-                progressed: moved,
-                ..
-            }) = app.step(stack, mem, now)
-            {
-                ff_calls += u64::from(calls);
-                progressed |= moved;
-                if moved {
-                    // Accepts may have added connections: refresh routing.
-                    Self::note_app_fd(app_of_fd, app.listen_fd(), slot as u32);
-                    for &fd in app.conn_fds() {
-                        Self::note_app_fd(app_of_fd, fd, slot as u32);
-                    }
-                }
-            }
-        }
-        let base_fleet = base_http + https.len();
-        for (fi, f) in fleets.iter_mut().enumerate() {
-            let Some(app) = f else { continue };
-            let slot = base_fleet + fi;
-            if gated && !runnable[slot] && !app.due(now) {
-                continue;
-            }
-            runnable[slot] = false;
-            if let Ok(HttpStepOutcome {
-                ff_calls: calls,
-                progressed: moved,
-                ..
-            }) = app.step(stack, mem, now)
-            {
-                ff_calls += u64::from(calls);
-                progressed |= moved;
-                if moved {
-                    // Arrivals opened connections: refresh fd routing.
-                    for &fd in app.conn_fds() {
-                        Self::note_app_fd(app_of_fd, fd, slot as u32);
-                    }
-                }
-            }
-        }
-        // Fault-injection campaigns step last: their wire volleys go out
-        // through the node's normal TX path, and appending the slot keeps
-        // chaos-free scenarios' step order (and digests) untouched. The
-        // step is infallible — injected frames cannot raise an Errno.
-        let base_chaos = base_fleet + fleets.len();
-        for (xi, x) in chaos.iter_mut().enumerate() {
-            let Some(app) = x else { continue };
-            let slot = base_chaos + xi;
-            if gated && !runnable[slot] && !app.due(now) {
-                continue;
-            }
-            runnable[slot] = false;
-            let o = app.step(stack, now);
-            ff_calls += u64::from(o.ff_calls);
-            progressed |= o.progressed;
         }
 
         // (iii) stack timers + TX ring.
@@ -2912,31 +2482,16 @@ impl NetSim {
             && self.devs[di].rx_pending(pi) == 0;
         if parkable {
             let node = &mut self.nodes[i];
-            let mut deadline = node.stack.next_timer_deadline();
-            for c in node.clients.iter().flatten() {
-                if let Some(d) = c.next_deadline(now) {
-                    deadline = Some(deadline.map_or(d, |m| m.min(d)));
-                }
-            }
-            // Fleet clocks (pending arrival, think timers), the HTTP
-            // server's idle-connection reaper and chaos round clocks must
-            // all wake a parked node; everything else the server does is
-            // input-driven.
-            for f in node.fleets.iter().flatten() {
-                if let Some(d) = f.next_deadline(now) {
-                    deadline = Some(deadline.map_or(d, |m| m.min(d)));
-                }
-            }
-            for h in node.https.iter().flatten() {
-                if let Some(d) = h.next_deadline(now) {
-                    deadline = Some(deadline.map_or(d, |m| m.min(d)));
-                }
-            }
-            for x in node.chaos.iter().flatten() {
-                if let Some(d) = x.next_deadline(now) {
-                    deadline = Some(deadline.map_or(d, |m| m.min(d)));
-                }
-            }
+            // App clocks (client write gaps and stop instants, fleet
+            // arrivals and think timers, the HTTP idle reaper, chaos
+            // rounds) must wake a parked node as well as stack timers.
+            let deadline = node
+                .apps
+                .iter()
+                .filter(|a| a.clocked)
+                .filter_map(|a| a.app.as_ref()?.next_deadline(now))
+                .chain(node.stack.next_timer_deadline())
+                .min();
             let period = self.idle_period;
             let node = &mut self.nodes[i];
             node.parked = true;

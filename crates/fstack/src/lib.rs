@@ -40,6 +40,7 @@ pub mod udp;
 
 pub use api::{FStack, StackConfig, StackStats};
 pub use epoll::{EpollEvent, EpollFlags};
+pub use loop_::StepOutcome;
 pub use tcp::cc::CcAlgo;
 
 /// The TCP maximum segment size this stack advertises and uses:

@@ -34,6 +34,27 @@ pub struct IterationOutcome {
     pub cost: SimDuration,
 }
 
+/// What one step of the user-defined function (an application) did, for
+/// driver-side cost accounting and loop parking.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepOutcome {
+    /// `ff_*` API calls issued during the step (each one crosses the
+    /// compartment boundary in Scenarios 1/2).
+    pub ff_calls: u32,
+    /// Payload bytes moved (through `ff_read`/`ff_write`, or onto the
+    /// wire) this step.
+    pub bytes: u64,
+    /// `true` once the app has nothing further to do.
+    pub finished: bool,
+    /// `true` when the step changed application state (connected,
+    /// accepted, moved bytes, closed, …). A step that only probed and got
+    /// `EAGAIN` leaves this `false`; together with the stack's timer
+    /// deadlines and the app's own deadlines, the quiescence-aware driver
+    /// uses it to park the main loop instead of re-polling an unchanged
+    /// world.
+    pub progressed: bool,
+}
+
 /// Runs one main-loop iteration: drain RX ring → protocol input → TCP
 /// timers/output → TX ring.
 ///

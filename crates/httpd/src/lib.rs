@@ -31,24 +31,8 @@ pub mod http;
 pub mod server;
 
 pub use fleet::{FleetApp, FleetConfig, FleetReport};
+pub use fstack::StepOutcome;
 pub use server::{HttpServerApp, HttpServerConfig, HttpServerReport};
-
-/// What one application step did (driver-side cost accounting), mirroring
-/// `iperf::StepOutcome` so the simulation driver charges `ff_*` crossing
-/// costs identically for both workload families.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// `ff_*` API calls issued during the step.
-    pub ff_calls: u32,
-    /// Payload bytes moved through `ff_read`/`ff_write` this step.
-    pub bytes: u64,
-    /// `true` once the app has nothing further to do.
-    pub finished: bool,
-    /// `true` when the step changed application state; a step that only
-    /// probed and got `EAGAIN` leaves this `false` (the quiescence-aware
-    /// driver parks on it).
-    pub progressed: bool,
-}
 
 /// The default HTTP serving port for the scenarios.
 pub const HTTPD_PORT: u16 = 8080;

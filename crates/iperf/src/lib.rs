@@ -23,27 +23,9 @@ pub mod report;
 pub mod server;
 
 pub use client::ClientApp;
+pub use fstack::StepOutcome;
 pub use report::{BandwidthReport, IntervalReport};
 pub use server::ServerApp;
-
-/// What one application step did (driver-side cost accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// `ff_*` API calls issued during the step (each one crosses the
-    /// compartment boundary in Scenarios 1/2).
-    pub ff_calls: u32,
-    /// Payload bytes moved through `ff_read`/`ff_write` this step.
-    pub bytes: u64,
-    /// `true` once the app has nothing further to do.
-    pub finished: bool,
-    /// `true` when the step changed application state (connected, accepted,
-    /// moved bytes, closed, …). A step that only probed and got `EAGAIN`
-    /// leaves this `false`; the quiescence-aware driver uses it — together
-    /// with the stack's timer deadlines and the app's own
-    /// [`client::ClientApp::next_deadline`] — to park the node's main loop
-    /// instead of re-polling an unchanged world.
-    pub progressed: bool,
-}
 
 /// The default iperf3 control/data port.
 pub const IPERF_PORT: u16 = 5201;

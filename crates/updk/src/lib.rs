@@ -28,8 +28,9 @@
 //! * [`qos`] — traffic metering and scheduling (token bucket, RFC 2697
 //!   srTCM, deficit round robin): the "DPDK QoS features" the paper defers
 //!   to future work.
-//! * [`ethdev`] — the DPDK-flavoured device API: configure, start,
-//!   `rx_burst`, `tx_burst`, stats.
+//! * [`ethdev`] — the DPDK-flavoured device API: configure, start, the
+//!   zero-copy burst entry points `rx_burst_shared`/`tx_burst_shared`
+//!   (each mbuf paired with the shared frame buffer), stats.
 //!
 //! # Example
 //!
@@ -56,8 +57,10 @@
 //!
 //! // A frame arrives on port 0 and is polled out.
 //! dev.deliver(0, SimTime::from_micros(5), Frame::new(vec![0u8; 64]));
-//! let rx = dev.rx_burst(0, SimTime::from_micros(100), 32, &mut mem)?;
+//! let rx = dev.rx_burst_shared(0, SimTime::from_micros(100), 32, &mut mem)?;
 //! assert_eq!(rx.len(), 1);
+//! let (mbuf, frame) = &rx[0];
+//! assert_eq!(mbuf.read(&mut mem)?, frame.bytes());
 //! # Ok(())
 //! # }
 //! ```

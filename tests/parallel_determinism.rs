@@ -458,7 +458,7 @@ fn respawn_star(http: bool, workers: usize) -> SimOutcome {
 }
 
 #[test]
-fn crashed_apps_of_every_class_respawn_byte_identically() {
+fn faulted_hosts_respawn_every_app_class_byte_identically() {
     for (http, pinned) in [
         (false, 0xfb3a_b8b2_f513_9101u64),
         (true, 0xcc7f_49c2_95fd_3938),
