@@ -57,9 +57,9 @@ fn counter_metrics(out: &SimOutcome) -> [(&'static str, f64); 13] {
         // stay 0 — recorded so the json is self-accounting.
         ("ev_boxed", c.boxed_events as f64),
         // Sharded-run rendezvous accounting (all zero for single-engine
-        // runs): rounds driven, rounds with no cross-shard exchange, and
-        // the zero-copy rehoming proof (frames crossing shards vs bytes
-        // actually copied for them).
+        // runs): rounds driven, rounds with no cross-shard exchange,
+        // frames crossing shards and the bytes copied for them (always 0:
+        // the shards share one thread and its buffer pool).
         ("ev_rounds", r.rounds as f64),
         ("ev_empty_rounds", r.empty_rounds as f64),
         ("ev_xshard_frames", r.xshard_frames as f64),

@@ -16,19 +16,19 @@
 //!   asked), `workers_used` (what the adaptive model chose),
 //!   `lookahead_ns`, `host_parallelism` and the `ev_*` counters —
 //!   including the per-round quartet `ev_rounds` / `ev_empty_rounds` /
-//!   `ev_xshard_frames` / `ev_rehome_bytes`, which prove on paper that
-//!   rehoming stopped copying (`ev_rehome_bytes = 0` on the multiplexed
-//!   driver) and how many rounds skipped the exchange sweep.
+//!   `ev_xshard_frames` / `ev_rehome_bytes`, which show how many frames
+//!   crossed shards (`ev_rehome_bytes` is always 0: the shards share the
+//!   calling thread, so a crossing copies nothing) and how many rounds
+//!   skipped the exchange sweep.
 //!
 //! The bench **asserts** that every worker count reproduces the
 //! `workers = 1` digest and counters byte for byte — including one
-//! forced-threaded, adaptive-off case — so CI's bench-smoke job fails on
+//! forced-sharded, adaptive-off case — so CI's bench-smoke job fails on
 //! any determinism regression. Cross-case derived ratios
 //! (`speedup_vs_workers1`) are *not* recorded per case: they're computed
-//! by `tools/bench_delta.py` from `host_wall_ms`, which also prints a
-//! loud banner when `host_parallelism = 1` (a single-CPU runner
-//! multiplexes the shards on one thread, so wall-ratios there measure
-//! sharding overhead, not parallel speedup).
+//! by `tools/bench_delta.py` from `host_wall_ms`. The shards of a run are
+//! multiplexed on the calling thread, so a ratio measures sharding
+//! overhead against per-shard calendar savings.
 
 use capnet::netsim::NetSim;
 use capnet::SimOutcome;
@@ -43,12 +43,12 @@ const HORIZON: SimDuration = SimDuration::from_millis(55);
 /// How one case drives the sharded window loop.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Adaptive selection on, auto thread choice — what callers get.
+    /// Adaptive selection on — what callers get.
     Auto,
-    /// Adaptive off + worker threads forced on: pins the rendezvous
-    /// protocol itself (barrier + mailbox slots) for the determinism
-    /// gate, regardless of the runner's core count.
-    ForcedThreaded,
+    /// Adaptive off: keeps a plan sharded that the profitability model
+    /// would collapse, so the window exchange itself meets the
+    /// determinism gate.
+    ForcedSharded,
 }
 
 /// Builds the star scenario and times only the simulation run.
@@ -56,9 +56,8 @@ fn star_case(clients: usize, workers: usize, mode: Mode) -> (SimOutcome, std::ti
     let mut sim = NetSim::new(CostModel::morello());
     sim.set_seed(SEED);
     sim.set_workers(workers);
-    if mode == Mode::ForcedThreaded {
+    if mode == Mode::ForcedSharded {
         sim.set_adaptive_workers(false);
-        sim.set_worker_threads(Some(true));
     }
     let star = capnet::topology::build_star(&mut sim, clients).expect("star builds");
     for (i, &leaf) in star.leaves.iter().enumerate() {
@@ -179,32 +178,29 @@ fn bench_parallel(c: &mut Criterion) {
             }
         }
 
-        // The forced-threaded determinism gate, one mid-size case: the
-        // rendezvous protocol (one barrier per round, parity mailbox
-        // slots) must land on the same digest even when the adaptive
-        // model would have collapsed the plan and the auto driver would
-        // have multiplexed. On a multicore runner this row doubles as the
-        // recorded genuinely-parallel measurement.
+        // The forced-sharded determinism gate, one mid-size case: the
+        // window exchange must land on the same digest even when the
+        // adaptive model would have collapsed the plan.
         if clients == 32 {
-            let (out, wall) = measured(clients, 2, Mode::ForcedThreaded, reps);
+            let (out, wall) = measured(clients, 2, Mode::ForcedSharded, reps);
             let (base, _) = baseline.as_ref().expect("baseline recorded");
             assert_eq!(
                 base.trace, out.trace,
-                "star/{clients}: forced-threaded workers=2 diverged from workers=1"
+                "star/{clients}: forced-sharded workers=2 diverged from workers=1"
             );
             assert_eq!(
                 base.counters, out.counters,
-                "star/{clients}: forced-threaded workers=2 counter drift"
+                "star/{clients}: forced-sharded workers=2 counter drift"
             );
-            assert_eq!(out.workers, 2, "forced-threaded case must stay sharded");
+            assert_eq!(out.workers, 2, "forced-sharded case must stay sharded");
             eprintln!(
-                "[parallel] star/{clients} workers=2 forced-threaded: {:.1} ms run, digest {:#018x}",
+                "[parallel] star/{clients} workers=2 forced-sharded: {:.1} ms run, digest {:#018x}",
                 wall.as_secs_f64() * 1e3,
                 out.trace.digest
             );
             report.record_timed(
                 "star",
-                &format!("clients={clients}/workers=2-threaded"),
+                &format!("clients={clients}/workers=2-forced"),
                 wall,
                 out.events,
                 out.horizon.as_nanos() as f64 / 1e9,

@@ -71,10 +71,8 @@ pub(crate) enum AppClass {
 
 /// Builds an app on a node's stack at an instant: called once by the
 /// installer at t=0 and again by every node restart. It captures only
-/// plain configuration (labels, configs, seeds, arena capabilities) —
-/// never an `Rc` — which is what lets a shard world move across threads.
-pub(crate) type Respawn =
-    Box<dyn Fn(&mut FStack, SimTime) -> Result<Box<dyn SimApp>, Errno> + Send>;
+/// plain configuration (labels, configs, seeds, arena capabilities).
+pub(crate) type Respawn = Box<dyn Fn(&mut FStack, SimTime) -> Result<Box<dyn SimApp>, Errno>>;
 
 /// One entry of a node's app list.
 pub(crate) struct AppSlot {

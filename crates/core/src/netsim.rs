@@ -24,8 +24,6 @@ use simkern::rng::SimRng;
 use simkern::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 use updk::ethdev::EthDev;
 use updk::kmod::{BindingRegistry, PciAddress};
 use updk::nic::{MacAddr, NicModel};
@@ -248,11 +246,11 @@ pub struct EventCounters {
     pub boxed_events: u64,
 }
 
-/// Per-run tallies of the sharded driver itself — rendezvous rounds,
-/// cross-shard traffic and rehoming copies. Deliberately **not** part of
-/// [`EventCounters`]: simulation counters are asserted byte-identical
-/// across worker counts, while these describe the driver that happened to
-/// run (all zero for a plain single-engine run).
+/// Per-run tallies of the sharded driver itself — rendezvous rounds and
+/// cross-shard traffic. Deliberately **not** part of [`EventCounters`]:
+/// simulation counters are asserted byte-identical across worker counts,
+/// while these describe the driver that happened to run (all zero for a
+/// plain single-engine run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundCounters {
     /// Rendezvous rounds driven (max across shards — rounds are lockstep).
@@ -261,9 +259,10 @@ pub struct RoundCounters {
     pub empty_rounds: u64,
     /// Frames handed across a shard boundary (deliveries + switch hops).
     pub xshard_frames: u64,
-    /// Bytes actually copied to rehome frames across threads — zero when
-    /// shards are multiplexed on one thread (shared handoff) and zero per
-    /// relay once a frame is already an `Arc`-backed page.
+    /// Bytes copied to hand frames across shards — always zero: every
+    /// shard runs on the calling thread and shares its buffer pool, so a
+    /// cross-shard frame is a refcount bump. Kept so reports that track
+    /// the copy cost keep their column.
     pub rehome_bytes: u64,
 }
 
@@ -499,31 +498,6 @@ impl Node {
     }
 }
 
-/// A cross-shard frame payload — never a byte-for-byte rebuild.
-///
-/// When the shards are multiplexed on a single thread there is only one
-/// buffer pool, so the handoff is a plain refcount bump
-/// ([`XPayload::Shared`]). Between worker *threads* the frame travels as
-/// an immutable Arc-backed pool page ([`XPayload::Page`], built by
-/// [`Frame::to_page`]): at most one copy at the sending boundary (zero
-/// for a relayed frame that already is a page), and the destination shard
-/// uses the page in place instead of re-materializing it into its own
-/// pool as the old `Vec<u8>` handoff did.
-enum XPayload {
-    /// A shared thread-local frame (single-thread multiplexed handoff).
-    Shared(Frame),
-    /// An immutable Arc-backed page (thread-crossing handoff).
-    Page(Frame),
-}
-
-impl XPayload {
-    fn into_frame(self) -> Frame {
-        match self {
-            XPayload::Shared(f) | XPayload::Page(f) => f,
-        }
-    }
-}
-
 /// One cross-shard event in flight between lookahead windows: a frame
 /// delivery or switch hop whose destination lives in another shard. The
 /// [`OrderKey`] built by the sending engine makes the injected event sort
@@ -536,17 +510,10 @@ struct XEvent {
     to_switch: bool,
     obj: u32,
     port: u32,
-    payload: XPayload,
+    /// The frame itself: every shard shares the calling thread's buffer
+    /// pool, so the handoff is a refcount bump, never a copy.
+    frame: Frame,
 }
-
-// SAFETY: the only non-`Send` content is [`XPayload::Shared`], which is
-// constructed exclusively when every shard is multiplexed on one thread
-// ([`ShardCtx::same_thread`]); threaded runs always rehome payloads to
-// [`XPayload::Page`] — an immutable `Arc`-backed pool page
-// ([`Frame::to_page`]) whose storage is never aliased by any `Rc` — so an
-// `XEvent` that actually crosses a thread boundary never holds
-// thread-local state.
-unsafe impl Send for XEvent {}
 
 /// One deferred trace-digest fold of a sharded run: the delivery's
 /// identity plus the dispatch key it sorted under. Folding the merged,
@@ -569,68 +536,24 @@ struct ShardCtx {
     node_shard: Vec<u32>,
     dev_shard: Vec<u32>,
     sw_shard: Vec<u32>,
-    /// `true` while the shards are multiplexed on one thread, enabling the
-    /// shared-frame handoff ([`XPayload::Shared`]).
-    same_thread: bool,
     /// Cross-shard events generated this window, per destination shard;
-    /// exchanged at the window barrier.
+    /// exchanged at the end of the round.
     outbox: Vec<Vec<XEvent>>,
     /// Driver tallies for this shard (merged into
     /// [`SimOutcome::rounds`] at the end of the run).
     rounds: RoundCounters,
     /// Deferred digest folds, in this shard's execution order (so the
-    /// front is always the oldest). The sequential driver drains and
-    /// folds finalized entries every round — bounding retained frames to
-    /// roughly one window's deliveries — while the threaded driver folds
-    /// everything at merge time (worker threads cannot share the digest
-    /// accumulator mid-run without another serialization point).
+    /// front is always the oldest). The window driver drains and folds
+    /// finalized entries every round, bounding retained frames to
+    /// roughly one window's deliveries.
     log: std::collections::VecDeque<DeliveryRecord>,
 }
 
-/// A shard world paired with its engine — the unit a worker thread owns.
-///
-/// # Safety
-///
-/// `NetSim` is not `Send` (frames are `Rc`-backed and pools are
-/// thread-local). The sharded runner upholds the invariant that makes the
-/// move sound anyway: every `Rc` reference graph is closed within one
-/// shard — frames cross shards only as immutable `Arc`-backed pool pages
-/// ([`XEvent::payload`], see [`Frame::to_page`]) — so a `ShardRun` moves
-/// between threads only as a whole, with no thread-local reference left
-/// behind. Storage freed on a foreign thread simply recycles into that
-/// thread's pool.
+/// A shard world paired with its engine — the unit the window driver
+/// multiplexes.
 struct ShardRun {
     sim: NetSim,
     engine: Engine<NetSim>,
-}
-
-unsafe impl Send for ShardRun {}
-
-/// Coordination state shared by the worker threads of a threaded sharded
-/// run, under the single-rendezvous protocol: each round ends in exactly
-/// **one** barrier wait, with every exchange slot double-buffered by round
-/// parity (`round & 1`). A worker writes the slot the *next* round will
-/// read (mailbox flush, outbox minima, its published next instant) before
-/// the barrier, and reads the current round's slot after it; because a
-/// worker can never be a full round ahead of a peer (the barrier is
-/// lockstep), the two parities never alias.
-struct ShardShared {
-    barrier: Barrier,
-    /// `mailbox[p][src][dst]`: cross-shard events flushed by `src` for
-    /// `dst`, to be injected at the start of the round with parity `p`.
-    mailbox: [Vec<Vec<Mutex<Vec<XEvent>>>>; 2],
-    /// `next_at[p][s]`: shard `s`'s earliest pending instant (`u64::MAX`
-    /// = idle) as published for the round with parity `p` — *excluding*
-    /// the mailbox events it has not injected yet.
-    next_at: [Vec<AtomicU64>; 2],
-    /// `out_min[p][src][dst]`: the minimum timestamp `src` flushed into
-    /// `mailbox[p][src][dst]` (`u64::MAX` = nothing, and the reader skips
-    /// that mailbox lock entirely). Folding these into `next_at` gives
-    /// every worker the same *effective* next instants the sequential
-    /// driver reads off its engines after injection — which is what lets
-    /// windows be derived before anyone has actually injected.
-    out_min: [Vec<Vec<AtomicU64>>; 2],
-    stop: u64,
 }
 
 /// The assembled simulation world (driven by [`Engine`] events).
@@ -678,11 +601,8 @@ pub struct NetSim {
     /// [`Profitability`] model and transparently collapses an
     /// unprofitable shard plan to the single-engine loop. `false` forces
     /// the requested worker count (tests use this to actually exercise
-    /// the sharded drivers on small topologies).
+    /// the sharded driver on small topologies).
     adaptive_workers: bool,
-    /// Explicit window-driver choice (`Some(true)` = worker threads,
-    /// `Some(false)` = single-thread multiplexing, `None` = auto).
-    worker_threads: Option<bool>,
     /// Present while this instance is one shard of a sharded run.
     shard_ctx: Option<Box<ShardCtx>>,
     /// The scheduled fault plan as built ([`NetSim::add_fault`] order).
@@ -742,7 +662,6 @@ impl NetSim {
             idle_period,
             workers: 1,
             adaptive_workers: true,
-            worker_threads: None,
             shard_ctx: None,
             fault_plan: Vec::new(),
             faults: Vec::new(),
@@ -755,13 +674,12 @@ impl NetSim {
     ///
     /// At `n > 1` the topology is partitioned into up to `n` shards, each
     /// driven by its own engine in conservative lookahead windows, with
-    /// cross-shard frames exchanged at window barriers. Wire behavior is
+    /// cross-shard frames exchanged between windows. Wire behavior is
     /// **byte-identical at any worker count** — same trace digest, same
     /// reports, same counters; `n = 1` (the default) is exactly the classic
-    /// single-engine loop. Shards run on worker threads when the host has
-    /// more than one CPU, and are multiplexed on the calling thread
-    /// otherwise (identical results either way; `CAPNET_SHARD_THREADS=0/1`
-    /// overrides the choice).
+    /// single-engine loop. The shards are multiplexed on the calling
+    /// thread: a 128-leaf star averages ~4 events per window, far too few
+    /// for a cross-thread rendezvous to pay for itself.
     pub fn set_workers(&mut self, n: usize) {
         self.workers = n.max(1);
     }
@@ -775,20 +693,9 @@ impl NetSim {
     /// reports `1`). Results are byte-identical either way — this knob
     /// only decides which identical-result execution path runs, and
     /// exists so tests and benchmarks can force small topologies through
-    /// the sharded drivers.
+    /// the sharded driver.
     pub fn set_adaptive_workers(&mut self, adaptive: bool) {
         self.adaptive_workers = adaptive;
-    }
-
-    /// Overrides the sharded-run window driver: `Some(true)` forces
-    /// worker threads, `Some(false)` forces single-thread multiplexing,
-    /// `None` (the default) picks threads when the host has more than one
-    /// CPU (the `CAPNET_SHARD_THREADS` environment variable, when set,
-    /// takes the place of the auto choice). Either driver produces
-    /// byte-identical results; this knob only exists for tests and for
-    /// pinning the execution mode on unusual hosts.
-    pub fn set_worker_threads(&mut self, threaded: Option<bool>) {
-        self.worker_threads = threaded;
     }
 
     /// Adds a NIC of `model` (kernel-detached and ready to configure).
@@ -1561,17 +1468,6 @@ impl NetSim {
         }
         let stop = self.stop_at;
         let workers = plan.workers;
-        // Worker threads when the host has the cores for it, multiplexed
-        // on this thread otherwise — identical results by construction
-        // (same windows, same sorted injections).
-        let threaded = self.worker_threads.unwrap_or_else(|| {
-            match std::env::var("CAPNET_SHARD_THREADS").ok().as_deref() {
-                Some("0") => false,
-                Some("1") => true,
-                // Unset or unrecognized: pick by available cores.
-                _ => std::thread::available_parallelism().map_or(1, usize::from) > 1,
-            }
-        });
 
         // Build the shard worlds: every vector keeps its global length,
         // with foreign slots replaced by untouched placeholders; real
@@ -1603,13 +1499,11 @@ impl NetSim {
                     idle_period: self.idle_period,
                     workers: 1,
                     adaptive_workers: true,
-                    worker_threads: None,
                     shard_ctx: Some(Box::new(ShardCtx {
                         id: sid as u32,
                         node_shard: plan.node_shard.iter().map(|&s| s as u32).collect(),
                         dev_shard: dev_shard.clone(),
                         sw_shard: sw_shard.clone(),
-                        same_thread: !threaded,
                         outbox: (0..workers).map(|_| Vec::new()).collect(),
                         rounds: RoundCounters::default(),
                         log: std::collections::VecDeque::new(),
@@ -1677,11 +1571,7 @@ impl NetSim {
         }
 
         let mut trace = TraceDigest::default();
-        if threaded {
-            Self::drive_windows_threaded(&mut cells, stop, &matrix);
-        } else {
-            Self::drive_windows_sequential(&mut cells, stop, &matrix, &mut trace);
-        }
+        Self::drive_windows_sequential(&mut cells, stop, &matrix, &mut trace);
         Ok(Self::merge_outcome(
             cells,
             &plan,
@@ -1777,176 +1667,28 @@ impl NetSim {
         }
     }
 
-    /// Threaded window driver: one worker thread per shard, **one**
-    /// barrier wait per round (see [`ShardShared`] for the parity
-    /// double-buffered exchange protocol that replaced the old
-    /// flush-then-vote pair of barriers).
-    fn drive_windows_threaded(cells: &mut Vec<ShardRun>, stop: SimTime, matrix: &LookaheadMatrix) {
-        let workers = cells.len();
-        let slot = || -> Vec<Vec<Mutex<Vec<XEvent>>>> {
-            (0..workers)
-                .map(|_| (0..workers).map(|_| Mutex::new(Vec::new())).collect())
-                .collect()
-        };
-        let nexts =
-            || -> Vec<AtomicU64> { (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect() };
-        let mins = || -> Vec<Vec<AtomicU64>> {
-            (0..workers)
-                .map(|_| (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect())
-                .collect()
-        };
-        let shared = ShardShared {
-            barrier: Barrier::new(workers),
-            mailbox: [slot(), slot()],
-            next_at: [nexts(), nexts()],
-            out_min: [mins(), mins()],
-            stop: stop.as_nanos(),
-        };
-        let finished = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (id, cell) in cells.drain(..).enumerate() {
-                let shared = &shared;
-                handles.push(scope.spawn(move || Self::shard_worker(cell, id, shared, matrix)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        *cells = finished;
-    }
-
-    /// The per-thread loop of [`NetSim::drive_windows_threaded`] —
-    /// byte-identical to the sequential driver round for round, at one
-    /// rendezvous per round.
-    ///
-    /// Each round with parity `p` *reads* slot `p` (published instants,
-    /// mailbox minima, mailboxes) and *writes* slot `p ^ 1` for the next
-    /// round, then waits on the single barrier. The lockstep barrier
-    /// means no worker can be a full round ahead, so the slot a worker
-    /// writes is never the slot a straggler is still reading. The
-    /// *effective* next instant of a peer folds its published engine
-    /// minimum with the minima of mailboxes it has yet to inject
-    /// ([`ShardShared::out_min`]) — exactly the post-injection instants
-    /// the sequential driver reads off its engines — so every worker
-    /// derives identical windows from identical data with no coordinator.
-    fn shard_worker(
-        mut cell: ShardRun,
-        id: usize,
-        shared: &ShardShared,
-        matrix: &LookaheadMatrix,
-    ) -> ShardRun {
-        let workers = shared.next_at[0].len();
-        // Publish the boot-schedule instants into round 0's slot; one
-        // initial rendezvous makes them visible to every worker.
-        let next = cell
-            .engine
-            .next_event_at()
-            .map_or(u64::MAX, |t| t.as_nanos());
-        shared.next_at[0][id].store(next, Ordering::SeqCst);
-        shared.barrier.wait();
-        let mut round: u64 = 0;
-        let mut incoming = Vec::new();
-        loop {
-            let p = (round & 1) as usize;
-            // Effective next instants: published engine minima folded
-            // with the not-yet-injected mailbox minima. Identical on
-            // every worker, so the break decision needs no barrier.
-            let mut nexts = vec![u64::MAX; workers];
-            for (s, next) in nexts.iter_mut().enumerate() {
-                let mut n = shared.next_at[p][s].load(Ordering::SeqCst);
-                for src in 0..workers {
-                    n = n.min(shared.out_min[p][src][s].load(Ordering::SeqCst));
-                }
-                *next = n;
-            }
-            let start = nexts.iter().copied().min().unwrap_or(u64::MAX);
-            if start == u64::MAX || start > shared.stop {
-                break;
-            }
-            // Drain this round's mailboxes (the out_min sentinel makes
-            // empty ones lock-free to skip) and inject. Readers never
-            // write out_min — peers are still reading this whole slot to
-            // derive their own windows; the flush phase below overwrites
-            // each row unconditionally for the slot's next reuse.
-            for src in 0..workers {
-                if shared.out_min[p][src][id].load(Ordering::SeqCst) == u64::MAX {
-                    continue;
-                }
-                incoming.append(&mut shared.mailbox[p][src][id].lock().expect("mailbox poisoned"));
-            }
-            Self::inject_sorted(&mut cell, &mut incoming);
-            {
-                let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
-                ctx.rounds.rounds += 1;
-            }
-            let end = matrix.window_end(&nexts, id);
-            if nexts[id] < end {
-                let ShardRun { sim, engine } = &mut cell;
-                if end > shared.stop {
-                    engine.run_until(sim, SimTime::from_nanos(shared.stop));
-                } else {
-                    engine.run_window(sim, SimTime::from_nanos(end));
-                }
-            } else {
-                let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
-                ctx.rounds.empty_rounds += 1;
-            }
-            // Write the next round's slot: flush the outbox and publish
-            // this worker's full out_min row — unconditionally, MAX for
-            // destinations it sent nothing, so the row needs no reader-
-            // side reset — then the engine's new minimum, then rendezvous.
-            let q = p ^ 1;
-            {
-                let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
-                for (dst, outgoing) in ctx.outbox.iter_mut().enumerate() {
-                    let min = outgoing.iter().map(|x| x.at.as_nanos()).min();
-                    if let Some(min) = min {
-                        shared.mailbox[q][id][dst]
-                            .lock()
-                            .expect("mailbox poisoned")
-                            .append(outgoing);
-                        shared.out_min[q][id][dst].store(min, Ordering::SeqCst);
-                    } else {
-                        shared.out_min[q][id][dst].store(u64::MAX, Ordering::SeqCst);
-                    }
-                }
-            }
-            let next = cell
-                .engine
-                .next_event_at()
-                .map_or(u64::MAX, |t| t.as_nanos());
-            shared.next_at[q][id].store(next, Ordering::SeqCst);
-            shared.barrier.wait();
-            round += 1;
-        }
-        cell
-    }
-
     /// Sorts a window's incoming cross-shard events by `(at, key)` — the
-    /// single-engine dispatch order — and schedules them. Payloads are
-    /// used in place (a shared frame or an `Arc`-backed page), never
-    /// re-materialized.
+    /// single-engine dispatch order — and schedules them. Frames are used
+    /// in place, never re-materialized.
     fn inject_sorted(cell: &mut ShardRun, incoming: &mut Vec<XEvent>) {
         if incoming.is_empty() {
             return;
         }
         incoming.sort_unstable_by_key(|x| (x.at, x.key));
         for x in incoming.drain(..) {
-            let frame = x.payload.into_frame();
             let ev = if x.to_switch {
                 NetEvent::SwitchHop {
                     sw: x.obj as usize,
                     port: x.port as usize,
                     at: x.at,
-                    frame,
+                    frame: x.frame,
                 }
             } else {
                 NetEvent::Deliver {
                     dev: x.obj as usize,
                     port: x.port as usize,
                     at: x.at,
-                    frame,
+                    frame: x.frame,
                 }
             };
             cell.engine.schedule_injected(x.at, x.key, ev);
@@ -1996,8 +1738,8 @@ impl NetSim {
             fault_stats.absorb(cell.sim.fault_stats);
         }
         // The deferred digest: whatever the driver has not already folded
-        // incrementally (everything, for the threaded driver), appended in
-        // global dispatch order on top of the accumulated fold.
+        // incrementally, appended in global dispatch order on top of the
+        // accumulated fold.
         let mut log: Vec<DeliveryRecord> = Vec::new();
         for cell in cells.iter_mut() {
             let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
@@ -2217,26 +1959,10 @@ impl NetSim {
         );
     }
 
-    /// Rehomes a frame for a cross-shard handoff and tallies the traffic:
-    /// a refcount bump when the shards share a thread, an `Arc`-backed
-    /// pool page otherwise — copied at most once, and not at all when the
-    /// frame (e.g. one being relayed onward) already is a page.
-    fn rehome(ctx: &mut ShardCtx, frame: &Frame) -> XPayload {
-        ctx.rounds.xshard_frames += 1;
-        if ctx.same_thread {
-            XPayload::Shared(frame.clone())
-        } else {
-            if !frame.is_page() {
-                ctx.rounds.rehome_bytes += frame.bytes().len() as u64;
-            }
-            XPayload::Page(frame.to_page())
-        }
-    }
-
-    /// Queues a cross-shard frame delivery for the window barrier: the
-    /// payload is rehomed by [`NetSim::rehome`] and the order key is
-    /// drawn from this engine's origin counter, exactly as a local
-    /// schedule would have.
+    /// Queues a cross-shard frame delivery for the window exchange: the
+    /// frame is shared (a refcount bump) and the order key is drawn from
+    /// this engine's origin counter, exactly as a local schedule would
+    /// have.
     fn outbox_deliver(
         &mut self,
         engine: &mut Engine<NetSim>,
@@ -2249,18 +1975,18 @@ impl NetSim {
         let key = engine.make_key(origin);
         let ctx = self.shard_ctx.as_mut().expect("cross-shard send has a ctx");
         let dst = ctx.dev_shard[dev] as usize;
-        let payload = Self::rehome(ctx, frame);
+        ctx.rounds.xshard_frames += 1;
         ctx.outbox[dst].push(XEvent {
             at,
             key,
             to_switch: false,
             obj: dev as u32,
             port: port as u32,
-            payload,
+            frame: frame.clone(),
         });
     }
 
-    /// Queues a cross-shard switch hop for the window barrier.
+    /// Queues a cross-shard switch hop for the window exchange.
     fn outbox_hop(
         &mut self,
         engine: &mut Engine<NetSim>,
@@ -2273,14 +1999,14 @@ impl NetSim {
         let key = engine.make_key(origin);
         let ctx = self.shard_ctx.as_mut().expect("cross-shard send has a ctx");
         let dst = ctx.sw_shard[sw] as usize;
-        let payload = Self::rehome(ctx, frame);
+        ctx.rounds.xshard_frames += 1;
         ctx.outbox[dst].push(XEvent {
             at,
             key,
             to_switch: true,
             obj: sw as u32,
             port: port as u32,
-            payload,
+            frame: frame.clone(),
         });
     }
 
@@ -2791,8 +2517,8 @@ pub struct SimOutcome {
     /// window a 2-shard plan *would* run under (0 when no such plan cuts
     /// a cable), so the would-be width shows up in bench output too.
     pub lookahead_ns: u64,
-    /// Sharded-driver tallies (rendezvous rounds, cross-shard frames,
-    /// rehoming copies). All zero for single-engine runs; unlike
+    /// Sharded-driver tallies (rendezvous rounds, cross-shard frames).
+    /// All zero for single-engine runs; unlike
     /// [`SimOutcome::counters`], these describe the driver rather than
     /// the simulation, so they legitimately vary across worker counts.
     pub rounds: RoundCounters,

@@ -132,9 +132,8 @@ impl LookaheadMatrix {
     }
 
     /// Shard `me`'s safe execution bound for one round, given every
-    /// shard's earliest pending instant (`u64::MAX` = idle; in the
-    /// threaded driver these are *effective* nexts, folding in-flight
-    /// mailbox minima into the published queue minima).
+    /// shard's earliest pending instant (`u64::MAX` = idle), read after
+    /// the previous round's cross-shard events were injected.
     ///
     /// Any event that could still appear in `me` descends from some shard
     /// `q`'s currently earliest event and must traverse at least
@@ -159,8 +158,8 @@ impl LookaheadMatrix {
 }
 
 /// How much a rendezvous round costs the host, expressed in simulator
-/// events: driving one round (window math, a barrier or mailbox sweep,
-/// republished instants) costs roughly as much wall time as dispatching
+/// events: driving one round (window math, the exchange sweep, reading
+/// every engine's next instant) costs roughly as much wall time as dispatching
 /// this many calendar events, charged once per shard. Calibrated against
 /// the committed `BENCH_parallel.json` baselines: the 8- and 32-client
 /// stars (≤ ~180 estimated events/round) were slowdowns at every worker

@@ -251,21 +251,19 @@ fn lossy_star_is_byte_identical_at_any_worker_count() {
     }
 }
 
-/// The threaded window driver (worker threads + barriers) produces the
-/// same bytes as the single-engine run and the sequential multiplexer —
-/// forced on via [`NetSim::set_worker_threads`] (an explicit setter, not
-/// the env override: tests run concurrently and mutating the process
-/// environment races sibling tests' reads).
+/// Forced sharding (adaptive selection off, so the small star cannot
+/// collapse to one engine) reproduces the single-engine bytes and
+/// counters at 2 and 4 workers, hands frames across shards, and never
+/// copies one to do it.
 #[test]
-fn threaded_driver_matches_sequential() {
+fn forced_sharding_matches_single_engine() {
     let base =
         run_star_iperf(4, SimDuration::from_millis(10), CostModel::morello(), 3).expect("baseline");
-    let run_forced = |threaded: bool| {
+    let run_forced = |workers: usize| {
         let mut sim = NetSim::new(CostModel::morello());
         sim.set_seed(3);
-        sim.set_workers(2);
+        sim.set_workers(workers);
         sim.set_adaptive_workers(false);
-        sim.set_worker_threads(Some(threaded));
         let star = capnet::topology::build_star(&mut sim, 4).expect("star");
         for (i, &leaf) in star.leaves.iter().enumerate() {
             let port = 5301 + i as u16; // run_star_iperf's port layout
@@ -282,28 +280,15 @@ fn threaded_driver_matches_sequential() {
         }
         sim.run(SimDuration::from_millis(40)).expect("runs")
     };
-    for threaded in [false, true] {
-        let out = run_forced(threaded);
+    for workers in [2usize, 4] {
+        let out = run_forced(workers);
+        assert_eq!(base.trace, out.trace, "workers={workers} vs single engine");
+        assert_eq!(base.counters, out.counters, "workers={workers}");
+        assert!(out.rounds.xshard_frames > 0, "workers={workers}");
         assert_eq!(
-            base.trace, out.trace,
-            "threaded={threaded} vs single engine"
+            out.rounds.rehome_bytes, 0,
+            "workers={workers}: cross-shard handoffs share frames, no copies"
         );
-        assert_eq!(base.counters, out.counters, "threaded={threaded}");
-        assert!(out.rounds.xshard_frames > 0, "threaded={threaded}");
-        if threaded {
-            // Thread-crossing frames are rehomed into Arc-backed pages:
-            // at most one copy each, witnessed by the byte tally.
-            assert!(out.rounds.rehome_bytes > 0, "pages were built");
-            assert!(
-                out.rounds.rehome_bytes < out.rounds.xshard_frames * updk::wire::MAX_FRAME as u64,
-                "rehoming copies at most one frame's bytes per crossing"
-            );
-        } else {
-            assert_eq!(
-                out.rounds.rehome_bytes, 0,
-                "single-thread multiplexed handoffs share frames, no copies"
-            );
-        }
     }
 }
 
