@@ -5,29 +5,19 @@
 //! model (expect ≈531/410) and under round-robin (expect ≈470/470), and
 //! lets Criterion time the simulation harness itself.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::AppSched;
-use capnet::scenario::{run_bandwidth_full, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use criterion::{criterion_group, criterion_main, Criterion};
-use simkern::{CostModel, SimDuration};
-use updk::wire::Impairments;
+use simkern::SimDuration;
 
 const DUR: SimDuration = SimDuration::from_millis(60);
 
 fn split(sched: AppSched) -> (f64, f64) {
-    let out = run_bandwidth_full(
-        ScenarioKind::Scenario2Contended,
-        TrafficMode::Client,
-        DUR,
-        CostModel::morello(),
-        Impairments::default(),
-        sched,
-    )
-    .expect("contended cell");
+    let out = ScenarioSpec::paper(ScenarioKind::Scenario2Contended, TrafficMode::Client)
+        .duration(DUR)
+        .app_sched(sched)
+        .run()
+        .expect("contended cell");
     (out.clients[0].mbit_per_sec(), out.clients[1].mbit_per_sec())
 }
 

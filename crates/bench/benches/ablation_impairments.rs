@@ -9,20 +9,18 @@
 //! 2. compartmentalization is loss-neutral: Scenario 2 tracks Baseline at
 //!    every impairment level.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth_impaired, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use simkern::{CostModel, SimDuration};
+use simkern::SimDuration;
 use updk::wire::Impairments;
 
 const DUR: SimDuration = SimDuration::from_millis(40);
 
 fn goodput(kind: ScenarioKind, imp: Impairments) -> f64 {
-    run_bandwidth_impaired(kind, TrafficMode::Server, DUR, CostModel::morello(), imp)
+    ScenarioSpec::paper(kind, TrafficMode::Server)
+        .duration(DUR)
+        .impairments(imp)
+        .run()
         .expect("impaired cell")
         .servers[0]
         .mbit_per_sec()

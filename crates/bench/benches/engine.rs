@@ -2,15 +2,12 @@
 //! throughput of the typed calendar, in both bands of the two-band
 //! structure — the timer-wheel near band (loop ticks, wire deliveries)
 //! and the binary-heap overflow band (retransmission timers, deep egress
-//! backlogs) — against the boxed-closure escape hatch the engine kept for
-//! small worlds. The spread between `typed_wheel` and `boxed_wheel` is the
-//! allocation the PR removed from every steady-state event; the spread
-//! between `typed_wheel` and `typed_heap` is what the wheel front-end buys
-//! for the dense near-future band.
+//! backlogs). The spread between `typed_wheel` and `typed_heap` is what the
+//! wheel front-end buys for the dense near-future band.
 
 use capnet_bench::BenchReport;
 use criterion::{criterion_group, criterion_main, Criterion};
-use simkern::engine::{Engine, NoEvent, World};
+use simkern::engine::{Engine, World};
 use simkern::time::{SimDuration, SimTime};
 
 /// A self-rescheduling typed world: one inline event per tick.
@@ -34,27 +31,6 @@ impl World for Ticker {
     }
 }
 
-/// The boxed twin: every tick allocates a fresh closure (the pre-typed
-/// engine's only representation).
-struct BoxedTicker {
-    remaining: u64,
-    period: SimDuration,
-}
-
-impl World for BoxedTicker {
-    type Event = NoEvent;
-    fn handle(&mut self, ev: NoEvent, _: &mut Engine<Self>) {
-        match ev {}
-    }
-}
-
-fn boxed_tick(w: &mut BoxedTicker, eng: &mut Engine<BoxedTicker>) {
-    if w.remaining > 0 {
-        w.remaining -= 1;
-        eng.schedule_boxed_in(w.period, boxed_tick);
-    }
-}
-
 /// Runs `events` typed self-reschedules at `period` and returns events/sec.
 fn typed_throughput(events: u64, period: SimDuration) -> f64 {
     let mut eng = Engine::new();
@@ -63,18 +39,6 @@ fn typed_throughput(events: u64, period: SimDuration) -> f64 {
         period,
     };
     eng.schedule(SimTime::ZERO, Ev::Tick);
-    let t0 = std::time::Instant::now();
-    eng.run(&mut w);
-    events as f64 / t0.elapsed().as_secs_f64()
-}
-
-fn boxed_throughput(events: u64, period: SimDuration) -> f64 {
-    let mut eng = Engine::new();
-    let mut w = BoxedTicker {
-        remaining: events,
-        period,
-    };
-    eng.schedule_boxed(SimTime::ZERO, boxed_tick);
     let t0 = std::time::Instant::now();
     eng.run(&mut w);
     events as f64 / t0.elapsed().as_secs_f64()
@@ -93,8 +57,6 @@ fn bench_engine(c: &mut Criterion) {
     for (case, throughput) in [
         ("typed_wheel", typed_throughput(EVENTS, WHEEL_PERIOD)),
         ("typed_heap", typed_throughput(EVENTS, HEAP_PERIOD)),
-        ("boxed_wheel", boxed_throughput(EVENTS, WHEEL_PERIOD)),
-        ("boxed_heap", boxed_throughput(EVENTS, HEAP_PERIOD)),
     ] {
         eprintln!("[engine] {case}: {:.1} M events/s", throughput / 1e6);
         report.record(
@@ -111,9 +73,6 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("typed_heap_100k", |b| {
         b.iter(|| typed_throughput(100_000, HEAP_PERIOD))
-    });
-    group.bench_function("boxed_wheel_100k", |b| {
-        b.iter(|| boxed_throughput(100_000, WHEEL_PERIOD))
     });
     group.finish();
 

@@ -8,15 +8,10 @@
 //! [`capnet_bench::BenchReport`], the repo's machine-readable perf
 //! trajectory (uploaded per-PR by CI's bench-smoke job).
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::NetSim;
-use capnet::scenario::{fairness_index, run_dumbbell_fairness, run_star_iperf};
+use capnet::scenario::fairness_index;
 use capnet::topology::build_chain;
-use capnet::{CcAlgo, ScenarioSpec, SimOutcome};
+use capnet::{ScenarioSpec, SimOutcome};
 use capnet_bench::BenchReport;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simkern::{CostModel, SimDuration};
@@ -53,8 +48,9 @@ fn counter_metrics(out: &SimOutcome) -> [(&'static str, f64); 13] {
         ("ev_parks", c.parks as f64),
         ("ev_wakes", c.wakes as f64),
         // loop_polls + deliveries + switch_hops + stale_wakes == events
-        // (the partition tests/event_engine.rs asserts), and boxed must
-        // stay 0 — recorded so the json is self-accounting.
+        // (the partition tests/event_engine.rs asserts). `ev_boxed` always
+        // reads 0: the engine has no boxed-event path. The column stays
+        // for the committed baselines and goes with the field.
         ("ev_boxed", c.boxed_events as f64),
         // Sharded-run rendezvous accounting (all zero for single-engine
         // runs): rounds driven, rounds with no cross-shard exchange,
@@ -76,8 +72,9 @@ fn bench_many_nodes(c: &mut Criterion) {
     // case is new with the quiescence-aware engine — the poll-every-tick
     // scheduler made 33 nodes too slow to bench.
     for clients in [2usize, 4, 8, 32] {
+        let spec = ScenarioSpec::star(clients).duration(RUN).seed(SEED);
         let t0 = std::time::Instant::now();
-        let out = run_star_iperf(clients, RUN, CostModel::morello(), SEED).expect("star runs");
+        let out = spec.clone().run().expect("star runs");
         let wall = t0.elapsed();
         // The sharded-run determinism gate: the same star at workers=2
         // must land on the byte-identical delivery-trace digest. Adaptive
@@ -85,14 +82,10 @@ fn bench_many_nodes(c: &mut Criterion) {
         // stars are all small enough to collapse otherwise, which would
         // make the gate vacuous). A mismatch aborts the bench, which
         // fails CI's bench-smoke job.
-        let sharded = ScenarioSpec::star(clients)
-            .duration(RUN)
-            .costs(CostModel::morello())
-            .seed(SEED)
+        let sharded = spec
+            .clone()
             .workers(2)
             .adaptive_workers(false)
-            .congestion(CcAlgo::Reno)
-            .sack(false)
             .run()
             .expect("sharded star runs");
         assert_eq!(
@@ -129,13 +122,9 @@ fn bench_many_nodes(c: &mut Criterion) {
             out.horizon.as_nanos() as f64 / 1e9,
             &metrics,
         );
-        group.bench_with_input(
-            BenchmarkId::new("star", clients),
-            &clients,
-            |b, &clients| {
-                b.iter(|| run_star_iperf(clients, RUN, CostModel::morello(), SEED).expect("star"))
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("star", clients), &spec, |b, spec| {
+            b.iter(|| spec.clone().run().expect("star"))
+        });
     }
 
     // Chain depth: one flow across K store-and-forward hops.
@@ -166,9 +155,9 @@ fn bench_many_nodes(c: &mut Criterion) {
 
     // Dumbbell: pairs contending for one trunk.
     for pairs in [2usize, 4] {
+        let spec = ScenarioSpec::dumbbell(pairs).duration(RUN).seed(SEED);
         let t0 = std::time::Instant::now();
-        let out =
-            run_dumbbell_fairness(pairs, RUN, CostModel::morello(), SEED).expect("dumbbell runs");
+        let out = spec.clone().run().expect("dumbbell runs");
         let wall = t0.elapsed();
         let flows = server_mbits(&out);
         let aggregate: f64 = flows.iter().sum();
@@ -190,8 +179,8 @@ fn bench_many_nodes(c: &mut Criterion) {
             out.horizon.as_nanos() as f64 / 1e9,
             &metrics,
         );
-        group.bench_with_input(BenchmarkId::new("dumbbell", pairs), &pairs, |b, &pairs| {
-            b.iter(|| run_dumbbell_fairness(pairs, RUN, CostModel::morello(), SEED).expect("bell"))
+        group.bench_with_input(BenchmarkId::new("dumbbell", pairs), &spec, |b, spec| {
+            b.iter(|| spec.clone().run().expect("bell"))
         });
     }
 

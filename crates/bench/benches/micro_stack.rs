@@ -8,13 +8,29 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fstack::ip::IpProto;
 use fstack::ip::{checksum, Ipv4Hdr};
 use fstack::tcp::tcb::Tcb;
-use fstack::tcp::{TcpFlags, TcpOptions, TcpSegment};
+use fstack::tcp::{SegPayload, TcpFlags, TcpOptions, TcpSegment};
 use intravisor::{CvmConfig, Intravisor};
 use simkern::{CostModel, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 const A: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 40000);
 const B: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 5201);
+
+/// Every segment `tcb` owes the wire at `now`, with data payloads copied
+/// out of the send buffer into owned segments.
+fn output(tcb: &mut Tcb, now: SimTime) -> Vec<TcpSegment> {
+    let mut out = Vec::new();
+    tcb.poll_output_into(now, &mut |seg, payload| {
+        let mut seg = seg.clone();
+        if let SegPayload::Range(buf, seq, len) = payload {
+            let mut v = vec![0u8; len];
+            buf.range_into(seq, &mut v);
+            seg.payload = v.into();
+        }
+        out.push(seg);
+    });
+    out
+}
 
 fn bench_codecs(c: &mut Criterion) {
     let mut g = c.benchmark_group("stack_codecs");
@@ -57,13 +73,13 @@ fn bench_tcp_engine(c: &mut Criterion) {
     fn pair() -> (SimTime, Tcb, Tcb) {
         let mut now = SimTime::from_millis(1);
         let mut client = Tcb::connect(A, B, 1000, 1448);
-        let syn = client.poll_output(now).remove(0);
+        let syn = output(&mut client, now).remove(0);
         let mut server = Tcb::accept_from(B, A, &syn, 9000, 1448);
         for _ in 0..8 {
-            for s in server.poll_output(now) {
+            for s in output(&mut server, now) {
                 client.on_segment(now, &s);
             }
-            for s in client.poll_output(now) {
+            for s in output(&mut client, now) {
                 server.on_segment(now, &s);
             }
             now += SimDuration::from_micros(50);
@@ -79,10 +95,10 @@ fn bench_tcp_engine(c: &mut Criterion) {
                 if sent < data.len() {
                     sent += cl.write(&data[sent..]);
                 }
-                for s in cl.poll_output(now) {
+                for s in output(&mut cl, now) {
                     sv.on_segment(now, &s);
                 }
-                for s in sv.poll_output(now) {
+                for s in output(&mut sv, now) {
                     cl.on_segment(now, &s);
                 }
                 recvd += sv.read(usize::MAX).len();

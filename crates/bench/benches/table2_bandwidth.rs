@@ -5,15 +5,10 @@
 //! scenario so `cargo bench` output doubles as the table. Shape assertions
 //! live in `tests/experiments_reproduce_paper.rs`.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use capnet_bench::BenchReport;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use simkern::{CostModel, SimDuration};
+use simkern::SimDuration;
 
 fn bench_table2(c: &mut Criterion) {
     let mut report = BenchReport::new("table2");
@@ -25,9 +20,9 @@ fn bench_table2(c: &mut Criterion) {
         for mode in [TrafficMode::Server, TrafficMode::Client] {
             // Print the paper-facing number once, timing the run so the
             // trajectory captures host speed alongside simulated Mbit/s.
+            let spec = ScenarioSpec::paper(kind, mode).duration(duration);
             let t0 = std::time::Instant::now();
-            let out =
-                run_bandwidth(kind, mode, duration, CostModel::morello()).expect("scenario runs");
+            let out = spec.clone().run().expect("scenario runs");
             let wall = t0.elapsed();
             let sim_s = out.horizon.as_nanos() as f64 / 1e9;
             let reports = match mode {
@@ -51,13 +46,8 @@ fn bench_table2(c: &mut Criterion) {
             }
             group.bench_with_input(
                 BenchmarkId::new(kind.label(), mode.to_string()),
-                &(kind, mode),
-                |b, &(kind, mode)| {
-                    b.iter(|| {
-                        run_bandwidth(kind, mode, duration, CostModel::morello())
-                            .expect("scenario runs")
-                    })
-                },
+                &spec,
+                |b, spec| b.iter(|| spec.clone().run().expect("scenario runs")),
             );
         }
     }

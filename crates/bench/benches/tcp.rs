@@ -17,13 +17,8 @@
 //! determinism gate over the new protocol machinery (persist timer, SACK
 //! scoreboard, pluggable CC).
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{fairness_index, run_dumbbell_cc_impaired, run_lossy_wan};
-use capnet::{CcAlgo, SimOutcome};
+use capnet::scenario::fairness_index;
+use capnet::{CcAlgo, ScenarioSpec, SimOutcome};
 use capnet_bench::BenchReport;
 use criterion::{criterion_group, criterion_main, Criterion};
 use simkern::{CostModel, SimDuration};
@@ -38,24 +33,24 @@ const WAN_LOSS: u16 = 20;
 
 fn dumbbell_case(algos: &[CcAlgo]) -> (SimOutcome, std::time::Duration) {
     let t0 = std::time::Instant::now();
-    let out = run_dumbbell_cc_impaired(
-        2,
-        DUMBBELL_RUN,
-        CostModel::morello(),
-        DUMBBELL_SEED,
-        algos,
-        Impairments {
-            loss_per_mille: DUMBBELL_LOSS,
-            ..Default::default()
-        },
-    )
-    .expect("dumbbell runs");
+    let out = ScenarioSpec::dumbbell(2)
+        .duration(DUMBBELL_RUN)
+        .seed(DUMBBELL_SEED)
+        .pair_cc(algos)
+        .impairments(Impairments::lossy(DUMBBELL_LOSS))
+        .run()
+        .expect("dumbbell runs");
     (out, t0.elapsed())
 }
 
 fn wan_case(sack: bool) -> (SimOutcome, std::time::Duration) {
     let t0 = std::time::Instant::now();
-    let out = run_lossy_wan(WAN_RUN, CostModel::morello(), WAN_SEED, WAN_LOSS, sack)
+    let out = ScenarioSpec::star(2)
+        .duration(WAN_RUN)
+        .seed(WAN_SEED)
+        .impairments(Impairments::lossy(WAN_LOSS))
+        .sack(sack)
+        .run()
         .expect("lossy wan runs");
     (out, t0.elapsed())
 }
@@ -138,7 +133,7 @@ fn bench_tcp(c: &mut Criterion) {
     // Adaptive worker selection is forced off — a 2-client star collapses
     // to one engine otherwise, which would make the gate vacuous.
     let star = |workers: usize| {
-        capnet::ScenarioSpec::star(2)
+        ScenarioSpec::star(2)
             .duration(WAN_RUN)
             .costs(CostModel::morello())
             .seed(WAN_SEED)

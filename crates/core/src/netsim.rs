@@ -59,9 +59,8 @@ impl std::fmt::Display for Ep {
 }
 
 /// The typed event vocabulary of the simulation — every event the engine
-/// dispatches in steady state is one of these small inline values, so the
-/// hot path schedules without boxing (the witness is
-/// [`EventCounters::boxed_events`] staying zero across a run).
+/// dispatches is one of these small inline values, so the hot path
+/// schedules without allocating.
 #[derive(Debug)]
 pub enum NetEvent {
     /// One main-loop iteration of a node's poll loop.
@@ -241,8 +240,10 @@ pub struct EventCounters {
     pub parks: u64,
     /// Parked nodes woken early by a frame delivery to their port.
     pub wakes: u64,
-    /// Boxed closure events scheduled on the engine — zero in steady state
-    /// (every hot-path event is a typed [`NetEvent`]).
+    /// Always zero: the engine stores every event inline as a
+    /// [`NetEvent`] and has no boxed-closure path. Kept only because the
+    /// benchmark reads this column; like [`RoundCounters::rehome_bytes`],
+    /// it goes at the next benchmark change.
     pub boxed_events: u64,
 }
 
@@ -261,8 +262,8 @@ pub struct RoundCounters {
     pub xshard_frames: u64,
     /// Bytes copied to hand frames across shards — always zero: every
     /// shard runs on the calling thread and shares its buffer pool, so a
-    /// cross-shard frame is a refcount bump. Kept so reports that track
-    /// the copy cost keep their column.
+    /// cross-shard frame is a refcount bump. Kept only because the
+    /// benchmark reads this column; it goes at the next benchmark change.
     pub rehome_bytes: u64,
 }
 
@@ -416,8 +417,7 @@ pub struct IsolationProfile {
 /// Declarative per-node protocol configuration for
 /// [`NetSim::configure_node`]: `None` fields keep the stack's current
 /// setting, so one struct update can adjust a single knob or several at
-/// once. Replaces the accreting `set_node_*` setter family (which now
-/// delegate here).
+/// once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeConfig {
     /// TCP congestion-control algorithm for connections opened or
@@ -958,33 +958,6 @@ impl NetSim {
         }
     }
 
-    /// Selects the TCP congestion-control algorithm for connections this
-    /// node opens or accepts from now on. Same ordering rule as
-    /// [`Self::configure_node`], which this delegates to.
-    pub fn set_node_cc(&mut self, node: NodeId, cc: CcAlgo) {
-        self.configure_node(
-            node,
-            NodeConfig {
-                cc: Some(cc),
-                ..NodeConfig::default()
-            },
-        );
-    }
-
-    /// Enables (or disables) SACK negotiation for connections this node
-    /// opens or accepts from now on. Both ends must enable it for SACK to
-    /// be active on a connection. Same ordering rule as
-    /// [`Self::configure_node`], which this delegates to.
-    pub fn set_node_sack(&mut self, node: NodeId, sack: bool) {
-        self.configure_node(
-            node,
-            NodeConfig {
-                sack: Some(sack),
-                ..NodeConfig::default()
-            },
-        );
-    }
-
     /// Carves a fresh `APP_BUF`-sized app buffer out of `node`'s arena,
     /// optionally filled with byte `fill`.
     pub(crate) fn carve_app_buf(
@@ -1234,7 +1207,6 @@ impl NetSim {
         engine.run_until(&mut self, stop);
         let end = engine.now();
         let events = engine.executed();
-        self.counters.boxed_events = engine.boxed_scheduled();
 
         let mut port_stats = Vec::new();
         let mut stack_stats = Vec::new();
@@ -1726,7 +1698,6 @@ impl NetSim {
             counters.stale_wakes += c.stale_wakes;
             counters.parks += c.parks;
             counters.wakes += c.wakes;
-            counters.boxed_events += cell.engine.boxed_scheduled();
             let r = cell.sim.shard_ctx.as_ref().expect("shard ctx").rounds;
             // Rounds are lockstep across shards (max, not sum); the
             // traffic tallies genuinely accumulate.
@@ -2490,8 +2461,7 @@ pub struct SimOutcome {
     /// events-per-second speed metric in the perf trajectory.
     pub events: u64,
     /// Per-kind event counters: why `events` is what it is (loop polls vs
-    /// deliveries vs switch hops vs wakes), and the zero-boxed-events
-    /// steady-state witness.
+    /// deliveries vs switch hops vs wakes).
     pub counters: EventCounters,
     /// `(node name, port hardware stats)`.
     pub port_stats: Vec<(String, updk::ethdev::PortStats)>,

@@ -303,43 +303,16 @@ fn fault_event(
     }
 }
 
-/// A declarative scenario: **one builder, one [`ScenarioSpec::run`]** —
-/// the redesigned entry point that replaced the accreting `run_*`
-/// function family (now thin deprecated wrappers over this type).
+/// A declarative scenario: **one builder, one [`ScenarioSpec::run`]**.
 ///
 /// Pick a topology with one of the constructors ([`ScenarioSpec::paper`],
 /// [`ScenarioSpec::star`], [`ScenarioSpec::dumbbell`]), chain the knobs
-/// you care about, and call [`ScenarioSpec::run`]. Every knob has the
-/// same default the old positional functions used, so a spec names only
-/// what it changes. The outcome is a pure function of the spec: the
-/// returned [`SimOutcome::trace`] digest is byte-identical at any
+/// you care about, and call [`ScenarioSpec::run`]. Every knob has a
+/// default, so a spec names only what it changes; a knob the chosen
+/// topology does not read is a configuration error, never silently
+/// dropped. The outcome is a pure function of the spec: the returned
+/// [`SimOutcome::trace`] digest is byte-identical at any
 /// [`ScenarioSpec::workers`] count.
-///
-/// # Migration from the `run_*` family
-///
-/// Each positional argument became a named builder call — this
-/// `run_star_iperf_custom` invocation:
-///
-/// ```no_run
-/// # use capnet::scenario::run_star_iperf_custom;
-/// # use simkern::cost::CostModel;
-/// # use simkern::time::SimDuration;
-/// # use updk::wire::Impairments;
-/// # use fstack::CcAlgo;
-/// # #[allow(deprecated)]
-/// let out = run_star_iperf_custom(
-///     4,
-///     SimDuration::from_millis(80),
-///     CostModel::morello(),
-///     7,
-///     Impairments::default(),
-///     2,
-///     CcAlgo::Cubic,
-///     true,
-/// );
-/// ```
-///
-/// is now:
 ///
 /// ```no_run
 /// # use capnet::scenario::ScenarioSpec;
@@ -356,8 +329,8 @@ fn fault_event(
 ///     .run();
 /// ```
 ///
-/// The HTTP serving plane only exists through this API — there is no
-/// legacy wrapper for it:
+/// The HTTP serving plane swaps the bulk iperf flows for a server and
+/// open-loop client fleets:
 ///
 /// ```no_run
 /// # use capnet::scenario::ScenarioSpec;
@@ -499,7 +472,8 @@ impl ScenarioSpec {
     }
 
     /// Dumbbell only: pair `i`'s sender runs `algos[i % algos.len()]`
-    /// (an empty slice keeps [`ScenarioSpec::congestion`]'s choice).
+    /// (an empty slice keeps [`ScenarioSpec::congestion`]'s choice). A
+    /// non-empty slice on another topology is a configuration error.
     #[must_use]
     pub fn pair_cc(mut self, algos: &[CcAlgo]) -> Self {
         self.pair_cc = algos.to_vec();
@@ -509,6 +483,7 @@ impl ScenarioSpec {
     /// Paper topology only: the app-cVM scheduling policy of the
     /// Scenario 2 service mutex (default round-robin;
     /// [`AppSched::paper_barging`] reproduces Table II's contended split).
+    /// A non-default policy on another topology is a configuration error.
     #[must_use]
     pub fn app_sched(mut self, sched: AppSched) -> Self {
         self.sched = sched;
@@ -526,36 +501,38 @@ impl ScenarioSpec {
         self
     }
 
-    /// Star/dumbbell only: installs a fault-injection campaign beside the
-    /// workload — on the first leaf (star) or the first client (dumbbell).
-    /// Its wire adversary, if enabled, is retargeted at the workload's
-    /// server address; the capability walker and bit-flip injector run in
-    /// their own arenas. The campaign RNG derives from
-    /// [`ScenarioSpec::seed`], so runs stay byte-identical at any
-    /// [`ScenarioSpec::workers`] count.
+    /// Star/dumbbell only (a configuration error on the paper testbed):
+    /// installs a fault-injection campaign beside the workload — on the
+    /// first leaf (star) or the first client (dumbbell). Its wire
+    /// adversary, if enabled, is retargeted at the workload's server
+    /// address; the capability walker and bit-flip injector run in their
+    /// own arenas. The campaign RNG derives from [`ScenarioSpec::seed`],
+    /// so runs stay byte-identical at any [`ScenarioSpec::workers`] count.
     #[must_use]
     pub fn chaos(mut self, cfg: ChaosConfig) -> Self {
         self.chaos = Some(cfg);
         self
     }
 
-    /// Star/dumbbell only: installs a deterministic fault schedule — link
-    /// blackholes, switch failures, host crash/restart cycles — executed
-    /// as first-class simulation events at the plan's virtual-time
-    /// offsets. Targets are resolved against the built topology (a
-    /// [`FaultTarget::Hub`] plan on a dumbbell is a configuration error).
-    /// An empty plan (the default) schedules nothing and leaves the run's
-    /// digest untouched.
+    /// Star/dumbbell only (a configuration error on the paper testbed):
+    /// installs a deterministic fault schedule — link blackholes, switch
+    /// failures, host crash/restart cycles — executed as first-class
+    /// simulation events at the plan's virtual-time offsets. Targets are
+    /// resolved against the built topology (a [`FaultTarget::Hub`] plan
+    /// on a dumbbell is a configuration error). An empty plan (the
+    /// default) schedules nothing and leaves the run's digest untouched.
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
     }
 
-    /// Star/dumbbell only: charges every host `ns` nanoseconds per
-    /// application `ff_*` call — the cross-compartment trampoline cost of
-    /// full isolation (default 0: intra-domain calls). The isolation
-    /// bench sweeps this knob to price capability enforcement under load.
+    /// Star/dumbbell only (a nonzero cost is a configuration error on the
+    /// paper testbed, whose [`ScenarioKind`] sets its crossing charges):
+    /// charges every host `ns` nanoseconds per application `ff_*` call —
+    /// the cross-compartment trampoline cost of full isolation (default 0:
+    /// intra-domain calls). The isolation bench sweeps this knob to price
+    /// capability enforcement under load.
     #[must_use]
     pub fn isolation_cost(mut self, ns: u64) -> Self {
         self.isolation_ns = ns;
@@ -566,13 +543,55 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Configuration errors (an HTTP workload on the paper's testbed,
-    /// bad topology parameters) and datapath capability faults.
+    /// Configuration errors (a knob the topology does not read, bad
+    /// topology parameters) and datapath capability faults.
     pub fn run(self) -> Result<SimOutcome, CapnetError> {
+        self.check_knobs()?;
         match self.topology {
-            Topology::Paper(kind, mode) => self.run_paper(kind, mode),
-            Topology::Star(leaves) => self.run_star(leaves),
-            Topology::Dumbbell(pairs) => self.run_dumbbell(pairs),
+            Topology::Paper(kind, mode) => self.run_on_paper(kind, mode),
+            Topology::Star(leaves) => self.run_on_star(leaves),
+            Topology::Dumbbell(pairs) => self.run_on_dumbbell(pairs),
+        }
+    }
+
+    /// Rejects every knob the chosen topology would otherwise ignore.
+    fn check_knobs(&self) -> Result<(), CapnetError> {
+        let paper = matches!(self.topology, Topology::Paper(..));
+        let dumbbell = matches!(self.topology, Topology::Dumbbell(_));
+        let unread = [
+            (
+                paper && matches!(self.workload, Workload::Httpd { .. }),
+                "the HTTP serving plane runs on star/dumbbell topologies; \
+                 the paper testbed measures bulk transfer",
+            ),
+            (
+                paper && !self.faults.is_empty(),
+                "fault plans run on star/dumbbell topologies; the paper \
+                 testbed has no topology-relative fault targets",
+            ),
+            (
+                paper && self.chaos.is_some(),
+                "chaos campaigns run on star/dumbbell topologies",
+            ),
+            (
+                paper && self.isolation_ns > 0,
+                "isolation_cost prices star/dumbbell hosts; the paper \
+                 testbed's crossing charges come from its ScenarioKind",
+            ),
+            (
+                !dumbbell && !self.pair_cc.is_empty(),
+                "pair_cc picks the dumbbell's per-pair senders; use \
+                 congestion() on other topologies",
+            ),
+            (
+                !paper && self.sched != AppSched::default(),
+                "app_sched schedules the paper testbed's app cVMs; \
+                 star/dumbbell hosts have no service mutex",
+            ),
+        ];
+        match unread.into_iter().find(|&(bad, _)| bad) {
+            Some((_, why)) => Err(CapnetError::Config(why.into())),
+            None => Ok(()),
         }
     }
 
@@ -625,23 +644,12 @@ impl ScenarioSpec {
         cfg
     }
 
-    /// The paper testbed (§III): construction order mirrors the original
-    /// `run_bandwidth_full` exactly, so the wrappers stay byte-identical.
-    fn run_paper(self, kind: ScenarioKind, mode: TrafficMode) -> Result<SimOutcome, CapnetError> {
-        if matches!(self.workload, Workload::Httpd { .. }) {
-            return Err(CapnetError::Config(
-                "the HTTP serving plane runs on star/dumbbell topologies; \
-                 the paper testbed measures bulk transfer"
-                    .into(),
-            ));
-        }
-        if !self.faults.is_empty() {
-            return Err(CapnetError::Config(
-                "fault plans run on star/dumbbell topologies; the paper \
-                 testbed has no topology-relative fault targets"
-                    .into(),
-            ));
-        }
+    /// The paper testbed (§III).
+    fn run_on_paper(
+        self,
+        kind: ScenarioKind,
+        mode: TrafficMode,
+    ) -> Result<SimOutcome, CapnetError> {
         let costs = self.costs.clone();
         let mut sim = NetSim::new(costs.clone());
         if let Some(seed) = self.seed {
@@ -746,9 +754,9 @@ impl ScenarioSpec {
         sim.run(run_for)
     }
 
-    /// The N-leaf star: construction order mirrors the original
-    /// `run_star_iperf_custom` exactly.
-    fn run_star(self, leaves: usize) -> Result<SimOutcome, CapnetError> {
+    /// The N-leaf star: every leaf sends to the hub across one switch,
+    /// so all flows share the hub-facing egress port.
+    fn run_on_star(self, leaves: usize) -> Result<SimOutcome, CapnetError> {
         let mut sim = NetSim::new(self.costs.clone());
         if let Some(seed) = self.seed {
             sim.set_seed(seed);
@@ -824,9 +832,8 @@ impl ScenarioSpec {
         sim.run(self.duration + SimDuration::from_millis(30))
     }
 
-    /// The dumbbell: construction order mirrors the original
-    /// `run_dumbbell_cc_impaired` exactly.
-    fn run_dumbbell(self, pairs: usize) -> Result<SimOutcome, CapnetError> {
+    /// The dumbbell: every pair's flow crosses the shared trunk.
+    fn run_on_dumbbell(self, pairs: usize) -> Result<SimOutcome, CapnetError> {
         let mut sim = NetSim::new(self.costs.clone());
         if let Some(seed) = self.seed {
             sim.set_seed(seed);
@@ -839,10 +846,17 @@ impl ScenarioSpec {
         let bell = crate::topology::build_dumbbell(&mut sim, pairs)?;
         for i in 0..pairs {
             sim.configure_node(bell.servers[i], self.node_config());
-            sim.configure_node(bell.clients[i], self.node_config());
-            if !self.pair_cc.is_empty() {
-                sim.set_node_cc(bell.clients[i], self.pair_cc[i % self.pair_cc.len()]);
-            }
+            let cc = match self.pair_cc.len() {
+                0 => self.cc,
+                n => Some(self.pair_cc[i % n]),
+            };
+            sim.configure_node(
+                bell.clients[i],
+                NodeConfig {
+                    cc,
+                    ..self.node_config()
+                },
+            );
             match &self.workload {
                 Workload::Iperf => {
                     let port = DUMBBELL_PORT + i as u16;
@@ -917,307 +931,10 @@ impl ScenarioSpec {
     }
 }
 
-/// Builds and runs `kind` in `mode` for `duration`, returning per-flow
-/// reports labeled the way Table II labels its rows.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `ScenarioSpec::paper(kind, mode)` instead")]
-pub fn run_bandwidth(
-    kind: ScenarioKind,
-    mode: TrafficMode,
-    duration: SimDuration,
-    costs: CostModel,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::paper(kind, mode)
-        .duration(duration)
-        .costs(costs)
-        .run()
-}
-
-/// [`run_bandwidth`] over degraded cables: every wire in the topology is
-/// subjected to `impairments` (loss, corruption, duplication, reordering,
-/// jitter). Used by the loss-sweep experiment to show F-Stack's TCP
-/// recovery machinery keeping the paper's scenarios functional on the lossy
-/// links real edge deployments see.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.impairments(...)` instead")]
-pub fn run_bandwidth_impaired(
-    kind: ScenarioKind,
-    mode: TrafficMode,
-    duration: SimDuration,
-    costs: CostModel,
-    impairments: Impairments,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::paper(kind, mode)
-        .duration(duration)
-        .costs(costs)
-        .impairments(impairments)
-        .run()
-}
-
-/// The fully parameterized [`run_bandwidth`]: degraded cables *and* an
-/// app-cVM scheduling policy. [`AppSched::paper_barging`] reproduces the
-/// paper's unbalanced contended client split (Table II's 531/410 Mbit/s);
-/// the default round-robin is the fairness fix the paper defers to future
-/// work.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(
-    note = "build a `ScenarioSpec` with `.impairments(...)` and `.app_sched(...)` instead"
-)]
-pub fn run_bandwidth_full(
-    kind: ScenarioKind,
-    mode: TrafficMode,
-    duration: SimDuration,
-    costs: CostModel,
-    impairments: Impairments,
-    sched: AppSched,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::paper(kind, mode)
-        .duration(duration)
-        .costs(costs)
-        .impairments(impairments)
-        .app_sched(sched)
-        .run()
-}
-
 /// Port base for the star scenario's per-leaf flows.
 const STAR_PORT: u16 = 5301;
 /// Port base for the dumbbell scenario's per-pair flows.
 const DUMBBELL_PORT: u16 = 5401;
-
-/// Runs the **N-client iperf star**: `clients` leaf hosts all sending TCP
-/// to one hub host across a single [`updk::switch::LinkFabric`], so every
-/// flow shares the switch's one hub-facing egress port — a 1 Gbit/s
-/// bottleneck the senders must divide. Ideal cables; see
-/// [`run_star_iperf_impaired`] to degrade them.
-///
-/// The run is a pure function of `(clients, duration, costs, seed)`: the
-/// returned [`SimOutcome::trace`] digest is byte-exact reproducible.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `ScenarioSpec::star(clients)` instead")]
-pub fn run_star_iperf(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .congestion(CcAlgo::Reno)
-        .sack(false)
-        .run()
-}
-
-/// [`run_star_iperf`] over degraded cables: each delivery is subject to
-/// `impairments` once on its final switch-to-host hop (see
-/// [`NetSim::set_impairments`] for the exact model), drawn
-/// deterministically from `seed`.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.impairments(...)` instead")]
-pub fn run_star_iperf_impaired(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    impairments: Impairments,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(impairments)
-        .congestion(CcAlgo::Reno)
-        .sack(false)
-        .run()
-}
-
-/// [`run_star_iperf_impaired`] on a sharded simulation:
-/// [`NetSim::set_workers`] is set to `workers` before the run. The outcome
-/// — trace digest, counters, reports — is byte-identical for every worker
-/// count (the contract `tests/parallel_determinism.rs` locks in); only
-/// host-side wall time may differ.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.workers(...)` instead")]
-pub fn run_star_iperf_sharded(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    impairments: Impairments,
-    workers: usize,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(impairments)
-        .workers(workers)
-        .congestion(CcAlgo::Reno)
-        .sack(false)
-        .run()
-}
-
-/// The fully parameterized star: on top of
-/// [`run_star_iperf_sharded`]'s knobs, selects the TCP congestion-control
-/// algorithm and SACK negotiation for **every** host (hub and leaves — SACK
-/// only activates when both ends offer it). Same determinism contract: the
-/// outcome is a pure function of the argument tuple, byte-identical at any
-/// `workers` count.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "build a `ScenarioSpec` with `.congestion(...)` and `.sack(...)` instead")]
-pub fn run_star_iperf_custom(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    impairments: Impairments,
-    workers: usize,
-    cc: CcAlgo,
-    sack: bool,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(impairments)
-        .workers(workers)
-        .congestion(cc)
-        .sack(sack)
-        .run()
-}
-
-/// The **lossy-WAN goodput experiment**: a 2-leaf star whose final hops
-/// drop `loss_per_mille` ‰ of frames, with SACK on or off at every host.
-/// Comparing the two SACK settings at the same seed isolates the goodput
-/// recovered by scoreboard-driven retransmission versus plain
-/// RTO/fast-retransmit recovery.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.impairments(...)` and `.sack(...)` instead")]
-pub fn run_lossy_wan(
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    loss_per_mille: u16,
-    sack: bool,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(2)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(Impairments {
-            loss_per_mille,
-            ..Default::default()
-        })
-        .congestion(CcAlgo::Reno)
-        .sack(sack)
-        .run()
-}
-
-/// Runs the **dumbbell fairness scenario**: `pairs` client/server pairs on
-/// two switches joined by one trunk, every pair's TCP flow crossing the
-/// shared 1 Gbit/s trunk. With the switch's FIFO egress queue and
-/// identical flows, the bandwidth split is the fairness measurement the
-/// paper defers to future work — quantify it with
-/// [`fairness_index`] over the returned server reports.
-///
-/// Deterministic in `(pairs, duration, costs, seed)` like the star.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `ScenarioSpec::dumbbell(pairs)` instead")]
-pub fn run_dumbbell_fairness(
-    pairs: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::dumbbell(pairs)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .run()
-}
-
-/// [`run_dumbbell_fairness`] with a congestion-control algorithm per pair:
-/// pair `i`'s **sender** runs `algos[i % algos.len()]` (an empty slice
-/// means every sender keeps the default Reno). Mixing `[Reno, Cubic]`
-/// across the shared trunk is the classic inter-algorithm fairness
-/// experiment — score the split with [`fairness_index`].
-///
-/// Deterministic in `(pairs, duration, costs, seed, algos)`.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.pair_cc(...)` instead")]
-pub fn run_dumbbell_cc(
-    pairs: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    algos: &[CcAlgo],
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::dumbbell(pairs)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .pair_cc(algos)
-        .run()
-}
-
-/// [`run_dumbbell_cc`] over degraded cables. On the drop-free dumbbell the
-/// flows are receiver-window-limited and never leave slow start, so the
-/// algorithm choice is inert (the classic pinned digest holds for every
-/// `algos`); add loss and the recovery/regrowth behavior — where Reno and
-/// CUBIC genuinely differ — governs each sender's share of the trunk.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.pair_cc(...)` and `.impairments(...)` instead")]
-pub fn run_dumbbell_cc_impaired(
-    pairs: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    algos: &[CcAlgo],
-    impairments: Impairments,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::dumbbell(pairs)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .pair_cc(algos)
-        .impairments(impairments)
-        .run()
-}
 
 /// Jain's fairness index over per-flow throughputs: `1.0` is a perfectly
 /// even split, `1/n` is total starvation of all but one flow. Empty input
@@ -1292,8 +1009,7 @@ mod tests {
     }
 
     /// The serving plane end to end: a 2-leaf star with modest open-loop
-    /// fleets must complete requests, and the paper testbed must refuse
-    /// the HTTP workload.
+    /// fleets must complete requests.
     #[test]
     fn httpd_star_serves_requests() {
         let out = ScenarioSpec::star(2)
@@ -1314,11 +1030,30 @@ mod tests {
         let served: u64 = out.http_servers.iter().map(|s| s.ok).sum();
         assert!(ok > 0, "fleets completed no requests");
         assert_eq!(ok, served, "server 200s must match fleet 200s");
+    }
 
-        let err = ScenarioSpec::paper(ScenarioKind::Scenario1, TrafficMode::Server)
-            .http(HttpServerConfig::default(), FleetConfig::default())
-            .run();
-        assert!(matches!(err, Err(CapnetError::Config(_))));
+    /// A knob the chosen topology does not read is a configuration error,
+    /// never silently dropped.
+    #[test]
+    fn unread_knobs_are_rejected() {
+        let paper = || ScenarioSpec::paper(ScenarioKind::Scenario1, TrafficMode::Server);
+        let barging = AppSched::paper_barging();
+        let cases = [
+            paper().http(HttpServerConfig::default(), FleetConfig::default()),
+            paper().chaos(ChaosConfig::default()),
+            paper().isolation_cost(125),
+            paper().pair_cc(&[CcAlgo::Cubic]),
+            ScenarioSpec::star(2).pair_cc(&[CcAlgo::Cubic]),
+            ScenarioSpec::star(2).app_sched(barging),
+            ScenarioSpec::dumbbell(2).app_sched(barging),
+        ];
+        for spec in cases {
+            let err = spec.clone().duration(SimDuration::from_millis(10)).run();
+            assert!(
+                matches!(err, Err(CapnetError::Config(_))),
+                "{spec:?} should be rejected"
+            );
+        }
     }
 
     /// Fault plans resolve against the topology they name: star targets

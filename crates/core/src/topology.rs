@@ -13,8 +13,8 @@
 //!   trunk; all pairs contend for the trunk, the classic fairness shape.
 //!
 //! Builders only wire devices, nodes and cables; callers install iperf
-//! apps on the returned [`NodeId`]s (see `scenario::run_star_iperf` and
-//! `scenario::run_dumbbell_fairness`).
+//! apps on the returned [`NodeId`]s (see [`crate::scenario::ScenarioSpec::star`]
+//! and [`crate::scenario::ScenarioSpec::dumbbell`]).
 
 use crate::netsim::{DevId, IsolationProfile, NetSim, NodeId, SwitchId};
 use crate::CapnetError;

@@ -65,18 +65,6 @@ impl StackConfig {
             sack: false,
         }
     }
-
-    /// Selects the congestion-control algorithm for new connections.
-    pub fn with_cc(mut self, cc: CcAlgo) -> Self {
-        self.cc = cc;
-        self
-    }
-
-    /// Enables SACK negotiation for new connections.
-    pub fn with_sack(mut self, sack: bool) -> Self {
-        self.sack = sack;
-        self
-    }
 }
 
 /// Aggregate stack counters.
@@ -855,13 +843,6 @@ impl FStack {
     // ------------------------------------------------------------------
     // driver surface
     // ------------------------------------------------------------------
-
-    /// Feeds one received Ethernet frame into the stack (compatibility
-    /// wrapper: stages `frame` into a pooled buffer; the zero-copy driver
-    /// path is [`FStack::input_buf`]).
-    pub fn input_frame(&mut self, now: SimTime, frame: &[u8]) {
-        self.input_buf(now, &FrameBuf::copy_from(frame));
-    }
 
     /// Queues a raw, caller-crafted Ethernet frame for transmission,
     /// bypassing every protocol layer: the bytes go out exactly as given

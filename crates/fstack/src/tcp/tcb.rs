@@ -1,8 +1,8 @@
 //! The TCP connection state machine (TCB = transmission control block).
 //!
 //! Poll-mode friendly: [`Tcb::on_segment`] only updates state;
-//! [`Tcb::poll_output`] — called every F-Stack main-loop iteration — emits
-//! whatever the connection owes the wire (SYN/SYN-ACK, data within
+//! [`Tcb::poll_output_into`] — called every F-Stack main-loop iteration —
+//! emits whatever the connection owes the wire (SYN/SYN-ACK, data within
 //! `min(cwnd, peer window)`, retransmissions, delayed ACKs, FIN). This
 //! matches how F-Stack drives the FreeBSD stack from the DPDK loop.
 
@@ -451,7 +451,7 @@ impl Tcb {
     // ---- wire surface ----
 
     /// Processes an incoming segment at `now`. Output (ACKs, data,
-    /// retransmits) is produced by the next [`Tcb::poll_output`].
+    /// retransmits) is produced by the next [`Tcb::poll_output_into`].
     pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         self.stats.segs_in += 1;
         if seg.flags.rst {
@@ -844,27 +844,6 @@ impl Tcb {
         sent
     }
 
-    /// Emits every segment the connection owes the wire at `now`.
-    ///
-    /// Compatibility wrapper over [`Tcb::poll_output_into`] that
-    /// materializes payload ranges into owned segments — tests and simple
-    /// drivers use this; the zero-copy main loop passes an emitter that
-    /// builds frames in place instead.
-    pub fn poll_output(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
-        self.poll_output_into(now, &mut |seg, payload| {
-            let mut seg = seg.clone();
-            if let SegPayload::Range(buf, seq, len) = payload {
-                let mut v = vec![0u8; len];
-                let n = buf.range_into(seq, &mut v);
-                debug_assert_eq!(n, len);
-                seg.payload = FrameBuf::copy_from(&v);
-            }
-            out.push(seg);
-        });
-        out
-    }
-
     /// Emits every segment the connection owes the wire at `now`, handing
     /// each to `emit` as a header-only [`TcpSegment`] plus a
     /// [`SegPayload`] naming where its payload bytes live. Data and
@@ -1194,17 +1173,33 @@ mod tests {
     const B: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 5201);
     const MSS: usize = 1448;
 
+    /// Every segment `tcb` owes the wire at `now`, with data payloads
+    /// copied out of the send buffer into owned segments.
+    fn output(tcb: &mut Tcb, now: SimTime) -> Vec<TcpSegment> {
+        let mut out = Vec::new();
+        tcb.poll_output_into(now, &mut |seg, payload| {
+            let mut seg = seg.clone();
+            if let SegPayload::Range(buf, seq, len) = payload {
+                let mut v = vec![0u8; len];
+                assert_eq!(buf.range_into(seq, &mut v), len);
+                seg.payload = FrameBuf::copy_from(&v);
+            }
+            out.push(seg);
+        });
+        out
+    }
+
     /// Drives both TCBs until neither has anything to say (in-order,
     /// lossless delivery) — a two-node network in a test tube.
     fn pump(now: &mut SimTime, a: &mut Tcb, b: &mut Tcb) {
         let mut quiet_rounds = 0;
         for _ in 0..600 {
             let mut quiet = true;
-            for seg in a.poll_output(*now) {
+            for seg in output(a, *now) {
                 quiet = false;
                 b.on_segment(*now, &seg);
             }
-            for seg in b.poll_output(*now) {
+            for seg in output(b, *now) {
                 quiet = false;
                 a.on_segment(*now, &seg);
             }
@@ -1222,7 +1217,7 @@ mod tests {
         let mut now = SimTime::from_millis(1);
         let mut client = Tcb::connect(A, B, 1000, MSS);
         // Server side: take the SYN from the client.
-        let syn = client.poll_output(now).remove(0);
+        let syn = output(&mut client, now).remove(0);
         assert!(syn.flags.syn && !syn.flags.ack);
         let mut server = Tcb::accept_from(B, A, &syn, 9000, MSS);
         pump(&mut now, &mut client, &mut server);
@@ -1259,7 +1254,7 @@ mod tests {
     fn segments_respect_mss() {
         let (mut now, mut c, mut s) = established_pair();
         c.write(&vec![7u8; 10_000]);
-        let segs = c.poll_output(now);
+        let segs = output(&mut c, now);
         assert!(!segs.is_empty());
         for seg in &segs {
             assert!(seg.payload.len() <= MSS);
@@ -1273,7 +1268,7 @@ mod tests {
     fn cwnd_limits_inflight() {
         let (now, mut c, _s) = established_pair();
         c.write(&vec![0u8; 1 << 16]);
-        let segs = c.poll_output(now);
+        let segs = output(&mut c, now);
         let inflight: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert!(inflight as u32 <= c.congestion().cwnd());
         assert!(c.inflight() as usize == inflight);
@@ -1284,14 +1279,14 @@ mod tests {
         let (mut now, mut c, mut s) = established_pair();
         c.write(b"critical data");
         // The segment is "lost": we never deliver it.
-        let lost = c.poll_output(now);
+        let lost = output(&mut c, now);
         assert_eq!(lost.len(), 1);
         // Before the RTO: silence.
         now += SimDuration::from_millis(1);
-        assert!(c.poll_output(now).is_empty());
+        assert!(output(&mut c, now).is_empty());
         // After the RTO: retransmission, which we deliver.
         now += SimDuration::from_millis(10);
-        let rtx = c.poll_output(now);
+        let rtx = output(&mut c, now);
         assert_eq!(rtx.len(), 1, "exactly one retransmission");
         assert_eq!(rtx[0].payload, b"critical data");
         assert_eq!(c.stats().retransmits, 1);
@@ -1305,19 +1300,19 @@ mod tests {
     fn triple_dupack_triggers_fast_retransmit() {
         let (mut now, mut c, mut s) = established_pair();
         c.write(&vec![1u8; MSS * 5]);
-        let mut segs = c.poll_output(now);
+        let mut segs = output(&mut c, now);
         assert!(segs.len() >= 4);
         // Drop the first segment; deliver the rest → dup ACKs.
         segs.remove(0);
         for seg in &segs {
             s.on_segment(now, seg);
-            for ack in s.poll_output(now) {
+            for ack in output(&mut s, now) {
                 c.on_segment(now, &ack);
             }
             now += SimDuration::from_micros(10);
         }
         assert!(c.stats().dupacks >= 3, "dupacks {}", c.stats().dupacks);
-        let rtx = c.poll_output(now);
+        let rtx = output(&mut c, now);
         assert!(
             rtx.iter()
                 .any(|seg| seg.seq == segs[0].seq.wrapping_sub(MSS as u32)),
@@ -1348,7 +1343,7 @@ mod tests {
         assert!(matches!(c.state(), TcpState::TimeWait | TcpState::Closed));
         // TIME_WAIT expires.
         now += SimDuration::from_millis(100);
-        c.poll_output(now);
+        output(&mut c, now);
         assert_eq!(c.state(), TcpState::Closed);
     }
 
@@ -1391,7 +1386,7 @@ mod tests {
         // In-window but inexact: still dropped, but earns a challenge ACK.
         c.on_segment(now, &rst_seg(9001 + 100));
         assert_eq!(c.state(), TcpState::Established);
-        let acks = c.poll_output(now);
+        let acks = output(&mut c, now);
         assert!(
             acks.iter().any(|s| s.flags.ack && s.payload.is_empty()),
             "challenge ACK for the in-window forgery"
@@ -1407,7 +1402,7 @@ mod tests {
     fn rst_in_syn_sent_without_matching_ack_is_dropped() {
         let now = SimTime::from_micros(5);
         let mut c = Tcb::connect(A, B, 1_000, MSS);
-        let _syn = c.poll_output(now);
+        let _syn = output(&mut c, now);
         // A blind RST that does not acknowledge our SYN must not refuse
         // the connection (it could be forged by anyone guessing ports).
         let mut rst = rst_seg(0);
@@ -1436,7 +1431,7 @@ mod tests {
             "blind SYN changes nothing"
         );
         assert_eq!(c.stats().syn_drops, 1);
-        let acks = c.poll_output(now);
+        let acks = output(&mut c, now);
         assert!(
             acks.iter().any(|s| s.flags.ack && !s.flags.syn),
             "challenge ACK emitted"
@@ -1463,7 +1458,7 @@ mod tests {
     fn rst_during_handshake_means_refused() {
         let now = SimTime::from_micros(5);
         let mut c = Tcb::connect(A, B, 1_000, MSS);
-        let _syn = c.poll_output(now);
+        let _syn = output(&mut c, now);
         let rst = TcpSegment {
             src_port: B.1,
             dst_port: A.1,
@@ -1550,7 +1545,7 @@ mod tests {
         let probes_base = c.stats().persist_probes;
         let mut probes = 0;
         for round in 0..200 {
-            for seg in c.poll_output(now) {
+            for seg in output(&mut c, now) {
                 assert!(
                     seg.payload.len() <= 1,
                     "round {round}: {}-byte segment into a zero window",
@@ -1561,7 +1556,7 @@ mod tests {
                 }
                 s.on_segment(now, &seg);
             }
-            for seg in s.poll_output(now) {
+            for seg in output(&mut s, now) {
                 assert_eq!(seg.payload.len(), 0, "receiver only ACKs");
                 c.on_segment(now, &seg);
             }
@@ -1594,10 +1589,10 @@ mod tests {
         let srtt_before = c.srtt().expect("srtt measured");
         // Lose a segment, let the RTO retransmit it…
         c.write(b"lost once");
-        let lost = c.poll_output(now);
+        let lost = output(&mut c, now);
         assert_eq!(lost.len(), 1);
         now += SimDuration::from_millis(20);
-        let rtx = c.poll_output(now);
+        let rtx = output(&mut c, now);
         assert_eq!(rtx.len(), 1, "timeout retransmission");
         // …and deliver only the retransmission, after a long delay that
         // would wreck SRTT if the ambiguous ACK were sampled.
@@ -1605,7 +1600,7 @@ mod tests {
         s.on_segment(now, &rtx[0]);
         // Let the receiver's delayed-ACK timer (500 us) fire.
         now += SimDuration::from_millis(1);
-        for seg in s.poll_output(now) {
+        for seg in output(&mut s, now) {
             c.on_segment(now, &seg);
         }
         assert_eq!(c.inflight(), 0, "retransmission was acked");
@@ -1628,20 +1623,19 @@ mod tests {
         pump(&mut now, &mut c, &mut s);
         s.close();
         // Capture the server's FIN, deliver it, but "lose" the final ACK.
-        let fin = s
-            .poll_output(now)
+        let fin = output(&mut s, now)
             .into_iter()
             .find(|seg| seg.flags.fin)
             .expect("server FIN");
         c.on_segment(now, &fin);
-        let _lost_ack = c.poll_output(now);
+        let _lost_ack = output(&mut c, now);
         assert_eq!(c.state(), TcpState::TimeWait);
         // The server times out and retransmits its FIN; TIME_WAIT must
         // re-ACK it (and restart 2MSL), not ignore it.
         now += SimDuration::from_millis(20);
         let acks = {
             c.on_segment(now, &fin);
-            c.poll_output(now)
+            output(&mut c, now)
         };
         assert_eq!(acks.len(), 1, "re-ACK for the retransmitted FIN");
         assert!(acks[0].flags.ack && !acks[0].flags.fin);
@@ -1650,7 +1644,7 @@ mod tests {
         assert_eq!(s.state(), TcpState::Closed);
         // 2MSL after the re-ACK the socket finally dies.
         now += SimDuration::from_millis(100);
-        c.poll_output(now);
+        output(&mut c, now);
         assert_eq!(c.state(), TcpState::Closed);
     }
 
@@ -1664,7 +1658,7 @@ mod tests {
         // The peer never closes and never speaks again: after the orphan
         // timeout the half-closed socket is released.
         now += SimDuration::from_millis(200);
-        c.poll_output(now);
+        output(&mut c, now);
         assert_eq!(c.state(), TcpState::Closed);
     }
 
@@ -1679,17 +1673,17 @@ mod tests {
         for _ in 0..8 {
             now += SimDuration::from_millis(100);
             s.write(b"still here");
-            for seg in s.poll_output(now) {
+            for seg in output(&mut s, now) {
                 c.on_segment(now, &seg);
             }
-            for seg in c.poll_output(now) {
+            for seg in output(&mut c, now) {
                 s.on_segment(now, &seg);
             }
             assert_eq!(c.state(), TcpState::FinWait2, "refreshed by activity");
         }
         // Once it goes quiet, the orphan timer finally fires.
         now += SimDuration::from_millis(500);
-        c.poll_output(now);
+        output(&mut c, now);
         assert_eq!(c.state(), TcpState::Closed);
     }
 
@@ -1703,7 +1697,7 @@ mod tests {
         // acknowledged. Exponential backoff must eventually give up.
         let mut polls = 0u32;
         while s.state() != TcpState::Closed && polls < 10_000 {
-            let _ = s.poll_output(now);
+            let _ = output(&mut s, now);
             now += SimDuration::from_millis(5);
             polls += 1;
         }
@@ -1724,7 +1718,7 @@ mod tests {
                 now - start,
                 t.state()
             );
-            let _ = t.poll_output(now);
+            let _ = output(t, now);
             now += SimDuration::from_millis(5);
         }
         now - start
@@ -1775,7 +1769,7 @@ mod tests {
         let mut now = SimTime::from_millis(1);
         let mut client = Tcb::connect(A, B, 1000, MSS);
         client.set_sack(true);
-        let syn = client.poll_output(now).remove(0);
+        let syn = output(&mut client, now).remove(0);
         assert!(syn.options.sack_permitted, "SYN advertises SACK");
         let mut server = Tcb::accept_from(B, A, &syn, 9000, MSS);
         server.set_sack(true);
@@ -1788,7 +1782,7 @@ mod tests {
     fn sack_scoreboard_fills_exactly_the_holes() {
         let (mut now, mut c, mut s) = established_sack_pair();
         c.write(&vec![5u8; MSS * 8]);
-        let mut segs = c.poll_output(now);
+        let mut segs = output(&mut c, now);
         assert_eq!(segs.len(), 8);
         // Drop segments 1 and 4; deliver the rest.
         let hole_a = segs[1].seq;
@@ -1797,7 +1791,7 @@ mod tests {
         segs.remove(1);
         for seg in &segs {
             s.on_segment(now, seg);
-            for ack in s.poll_output(now) {
+            for ack in output(&mut s, now) {
                 assert!(ack.seq_len() == 0, "pure ACKs while reassembling");
                 c.on_segment(now, &ack);
             }
@@ -1805,7 +1799,7 @@ mod tests {
         }
         // Fast retransmit fired from dupacks, driven by the scoreboard:
         // exactly the two holes come back, nothing the peer already holds.
-        let rtx = c.poll_output(now);
+        let rtx = output(&mut c, now);
         let seqs: Vec<u32> = rtx.iter().map(|seg| seg.seq).collect();
         assert!(seqs.contains(&hole_a), "hole A retransmitted: {seqs:?}");
         assert!(seqs.contains(&hole_b), "hole B retransmitted: {seqs:?}");
@@ -1829,10 +1823,10 @@ mod tests {
         let mut now = SimTime::from_millis(1);
         let mut client = Tcb::connect(A, B, 1000, MSS);
         client.set_sack(true);
-        let syn = client.poll_output(now).remove(0);
+        let syn = output(&mut client, now).remove(0);
         // Server does not enable SACK: its SYN-ACK must not advertise it.
         let mut server = Tcb::accept_from(B, A, &syn, 9000, MSS);
-        let synack = server.poll_output(now).remove(0);
+        let synack = output(&mut server, now).remove(0);
         assert!(!synack.options.sack_permitted);
         pump(&mut now, &mut client, &mut server);
         assert!(!client.sack_active() && !server.sack_active());
@@ -1843,7 +1837,7 @@ mod tests {
         let mut now = SimTime::from_millis(1);
         let mut client = Tcb::connect(A, B, 1000, MSS);
         client.set_cc(CcAlgo::Cubic);
-        let syn = client.poll_output(now).remove(0);
+        let syn = output(&mut client, now).remove(0);
         let mut server = Tcb::accept_from(B, A, &syn, 9000, MSS);
         server.set_cc(CcAlgo::Cubic);
         pump(&mut now, &mut client, &mut server);
@@ -1865,23 +1859,23 @@ mod tests {
     fn delayed_ack_acks_every_second_segment() {
         let (mut now, mut c, mut s) = established_pair();
         c.write(&vec![1u8; MSS * 2]);
-        let segs = c.poll_output(now);
+        let segs = output(&mut c, now);
         assert_eq!(segs.len(), 2);
         // First segment: ACK deferred.
         s.on_segment(now, &segs[0]);
-        assert!(s.poll_output(now).is_empty(), "delayed");
+        assert!(output(&mut s, now).is_empty(), "delayed");
         // Second segment: immediate ACK.
         s.on_segment(now, &segs[1]);
-        let acks = s.poll_output(now);
+        let acks = output(&mut s, now);
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].ack, segs[1].seq.wrapping_add(MSS as u32));
         // And a lone segment gets acked by the delack timer.
         c.on_segment(now, &acks[0]);
         c.write(&[2u8; 100]);
-        let seg = c.poll_output(now).remove(0);
+        let seg = output(&mut c, now).remove(0);
         s.on_segment(now, &seg);
-        assert!(s.poll_output(now).is_empty());
+        assert!(output(&mut s, now).is_empty());
         now += SimDuration::from_millis(1);
-        assert_eq!(s.poll_output(now).len(), 1, "delack fired");
+        assert_eq!(output(&mut s, now).len(), 1, "delack fired");
     }
 }

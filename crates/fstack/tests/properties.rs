@@ -8,11 +8,12 @@ use fstack::icmp::IcmpEcho;
 use fstack::ip::{checksum, sum_words, IpProto, Ipv4Hdr};
 use fstack::tcp::seq::{seq_diff, seq_ge, seq_le, seq_lt};
 use fstack::tcp::tcb::Tcb;
-use fstack::tcp::{TcpFlags, TcpOptions, TcpSegment};
+use fstack::tcp::{SegPayload, TcpFlags, TcpOptions, TcpSegment};
 use fstack::udp::UdpDatagram;
 use proptest::prelude::*;
 use simkern::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
+use updk::framebuf::FrameBuf;
 use updk::nic::MacAddr;
 
 fn ip(a: u8) -> Ipv4Addr {
@@ -26,6 +27,20 @@ fn range_vec(buf: &SendBuffer, seq: u32, len: usize) -> Vec<u8> {
     let n = buf.range_into(seq, &mut v);
     v.truncate(n);
     v
+}
+
+/// Every segment `tcb` owes the wire at `now`, with data payloads copied
+/// out of the send buffer into owned segments.
+fn output(tcb: &mut Tcb, now: SimTime) -> Vec<TcpSegment> {
+    let mut out = Vec::new();
+    tcb.poll_output_into(now, &mut |seg, payload| {
+        let mut seg = seg.clone();
+        if let SegPayload::Range(buf, seq, len) = payload {
+            seg.payload = FrameBuf::copy_from(&range_vec(buf, seq, len));
+        }
+        out.push(seg);
+    });
+    out
 }
 
 proptest! {
@@ -204,7 +219,7 @@ fn tcp_survives_random_loss() {
         let mut now = SimTime::from_millis(1);
         let mut client = Tcb::connect(a, b, 77, 1448);
         let syn = loop {
-            let segs = client.poll_output(now);
+            let segs = output(&mut client, now);
             if let Some(s) = segs.into_iter().next() {
                 break s;
             }
@@ -221,12 +236,12 @@ fn tcp_survives_random_loss() {
             if sent < data.len() {
                 sent += client.write(&data[sent..]);
             }
-            for seg in client.poll_output(now) {
+            for seg in output(&mut client, now) {
                 if !rng.chance_per_mille(loss_per_mille) {
                     server.on_segment(now, &seg);
                 }
             }
-            for seg in server.poll_output(now) {
+            for seg in output(&mut server, now) {
                 if !rng.chance_per_mille(loss_per_mille) {
                     client.on_segment(now, &seg);
                 }
@@ -271,7 +286,7 @@ fn drive_close_interleaving(
     let b = (ip(2), 5_201u16);
     let mut now = SimTime::from_millis(1);
     let mut client = Tcb::connect(a, b, 77, 1448);
-    let syn = client.poll_output(now).remove(0);
+    let syn = output(&mut client, now).remove(0);
     let mut server = Tcb::accept_from(b, a, &syn, 99, 1448);
 
     let a_data = vec![0xA5u8; a_bytes];
@@ -314,13 +329,13 @@ fn drive_close_interleaving(
             server.close();
             b_closed = true;
         }
-        for seg in client.poll_output(now) {
+        for seg in output(&mut client, now) {
             exchange += 1;
             if !drop(exchange, &mut drops_left) {
                 server.on_segment(now, &seg);
             }
         }
-        for seg in server.poll_output(now) {
+        for seg in output(&mut server, now) {
             exchange += 1;
             if !drop(exchange, &mut drops_left) {
                 client.on_segment(now, &seg);
@@ -342,8 +357,8 @@ fn drive_close_interleaving(
     // out: every TCB must reach its grave, no zombie states.
     for _ in 0..40 {
         now += SimDuration::from_millis(10);
-        client.poll_output(now);
-        server.poll_output(now);
+        output(&mut client, now);
+        output(&mut server, now);
     }
     prop_assert_eq!(client.state(), TcpState::Closed);
     prop_assert_eq!(server.state(), TcpState::Closed);

@@ -7,11 +7,8 @@
 //! stored **inline** in a two-band calendar: a 512-slot × 1024 ns timer wheel
 //! for the dense near band, with a binary heap as overflow for far-future
 //! deadlines (retransmission timers, TIME_WAIT). Events migrate from the heap
-//! into the wheel as virtual time advances. A [`Engine::schedule_boxed`]
-//! escape hatch keeps closure-style scheduling available for doctests and
-//! small ad-hoc worlds; boxed schedules are counted
-//! ([`Engine::boxed_scheduled`]) so perf-sensitive drivers can assert their
-//! steady state never boxes.
+//! into the wheel as virtual time advances. Every event is a value of the
+//! world's `Event` type, so scheduling never allocates per event.
 //!
 //! # Dispatch order
 //!
@@ -35,13 +32,10 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-type Action<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-
 /// A world drivable by the engine: the event vocabulary plus its interpreter.
 ///
 /// `Event` should be a small plain enum — it is stored by value in the
-/// calendar, so scheduling one allocates nothing. Worlds that only ever use
-/// [`Engine::schedule_boxed`] can set `type Event = NoEvent`.
+/// calendar, so scheduling one allocates nothing.
 pub trait World: Sized {
     /// The typed event vocabulary of this world.
     type Event;
@@ -49,13 +43,10 @@ pub trait World: Sized {
     fn handle(&mut self, ev: Self::Event, engine: &mut Engine<Self>);
 }
 
-/// An uninhabited event type for worlds driven purely by boxed closures.
-pub enum NoEvent {}
-
 /// The origin id carried by plain (non-[`Engine::schedule_from`]) schedules:
 /// sorts after every explicit origin, and its `ctr` component is the global
-/// sequence number, preserving the legacy FIFO tie-break.
-const COMPAT_ORIGIN: u32 = u32::MAX;
+/// sequence number, so same-instant plain schedules dispatch FIFO.
+const PLAIN_ORIGIN: u32 = u32::MAX;
 
 /// The execution-invariant tie-break among same-instant, same-class events.
 ///
@@ -89,15 +80,10 @@ pub struct OrderKey {
     pub ctr: u64,
 }
 
-/// Identifies one scheduled typed event, for [`Engine::cancel`].
+/// Identifies one scheduled event, for [`Engine::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
     key: OrderKey,
-}
-
-enum Slot<W: World> {
-    Typed(W::Event),
-    Boxed(Action<W>),
 }
 
 struct Scheduled<W: World> {
@@ -107,7 +93,7 @@ struct Scheduled<W: World> {
     /// every same-instant delivery first).
     class: u8,
     key: OrderKey,
-    slot: Slot<W>,
+    ev: W::Event,
 }
 
 impl<W: World> Scheduled<W> {
@@ -325,8 +311,8 @@ impl<W: World> Calendar<W> {
 ///
 /// # Example
 ///
-/// A typed world: the event enum is stored inline in the calendar, so the
-/// steady state of a simulation schedules without allocating.
+/// The world's event enum is stored inline in the calendar, so the steady
+/// state of a simulation schedules without allocating.
 ///
 /// ```
 /// use simkern::engine::{Engine, World};
@@ -351,27 +337,6 @@ impl<W: World> Calendar<W> {
 /// engine.schedule(SimTime::ZERO, Ev::Tick);
 /// engine.run(&mut world);
 /// assert_eq!(world.ticks, 10);
-/// assert_eq!(engine.boxed_scheduled(), 0);
-/// ```
-///
-/// The boxed escape hatch, for worlds without an event vocabulary:
-///
-/// ```
-/// use simkern::engine::{Engine, NoEvent, World};
-/// use simkern::time::SimTime;
-///
-/// struct Small(u32);
-/// impl World for Small {
-///     type Event = NoEvent;
-///     fn handle(&mut self, ev: NoEvent, _: &mut Engine<Self>) { match ev {} }
-/// }
-///
-/// let mut engine: Engine<Small> = Engine::new();
-/// let mut w = Small(0);
-/// engine.schedule_boxed(SimTime::from_nanos(10), |w: &mut Small, _| w.0 += 1);
-/// engine.schedule_boxed(SimTime::from_nanos(5), |w: &mut Small, _| w.0 += 10);
-/// engine.run(&mut w);
-/// assert_eq!(w.0, 11);
 /// ```
 pub struct Engine<W: World> {
     now: SimTime,
@@ -386,7 +351,6 @@ pub struct Engine<W: World> {
     queue: Calendar<W>,
     executed: u64,
     event_cap: u64,
-    boxed_scheduled: u64,
 }
 
 impl<W: World> std::fmt::Debug for Engine<W> {
@@ -418,14 +382,13 @@ impl<W: World> Engine<W> {
             cur_key: OrderKey {
                 gen: 0,
                 gen_class: 0,
-                origin: COMPAT_ORIGIN,
+                origin: PLAIN_ORIGIN,
                 ctr: 0,
             },
             origin_ctrs: Vec::new(),
             queue: Calendar::new(),
             executed: 0,
             event_cap: Self::DEFAULT_EVENT_CAP,
-            boxed_scheduled: 0,
         }
     }
 
@@ -444,12 +407,6 @@ impl<W: World> Engine<W> {
         self.queue.len()
     }
 
-    /// Number of boxed-closure events scheduled so far — the witness that a
-    /// steady-state hot path stayed on the typed, allocation-free band.
-    pub fn boxed_scheduled(&self) -> u64 {
-        self.boxed_scheduled
-    }
-
     /// Caps the number of events a run may execute, as a guard against
     /// accidentally non-terminating schedules in tests. Both [`Engine::run`]
     /// / [`Engine::run_until`] and single-stepping via [`Engine::step`]
@@ -458,24 +415,19 @@ impl<W: World> Engine<W> {
         self.event_cap = cap;
     }
 
-    fn push(&mut self, at: SimTime, class: u8, key: OrderKey, slot: Slot<W>) {
+    fn push(&mut self, at: SimTime, class: u8, key: OrderKey, ev: W::Event) {
         let at = at.max(self.now);
-        self.queue.push(Scheduled {
-            at,
-            class,
-            key,
-            slot,
-        });
+        self.queue.push(Scheduled { at, class, key, ev });
     }
 
-    /// The legacy key for plain schedules: generation components plus the
-    /// global sequence number, preserving FIFO among same-instant ties.
-    fn compat_key(&mut self) -> OrderKey {
+    /// The key for plain schedules: generation components plus the global
+    /// sequence number, preserving FIFO among same-instant ties.
+    fn plain_key(&mut self) -> OrderKey {
         self.seq += 1;
         OrderKey {
             gen: self.now.as_nanos(),
             gen_class: self.cur_class,
-            origin: COMPAT_ORIGIN,
+            origin: PLAIN_ORIGIN,
             ctr: self.seq,
         }
     }
@@ -483,10 +435,10 @@ impl<W: World> Engine<W> {
     /// The execution-invariant key for origin-tagged schedules.
     fn origin_key(&mut self, origin: u32) -> OrderKey {
         // Origins index a dense per-origin counter table; a huge id (or
-        // the reserved compat origin) is a caller bug that would otherwise
+        // the reserved plain origin) is a caller bug that would otherwise
         // surface as a giant allocation.
         debug_assert!(
-            origin < COMPAT_ORIGIN,
+            origin < PLAIN_ORIGIN,
             "origin {origin} is reserved / not a dense object id"
         );
         let idx = origin as usize;
@@ -502,57 +454,57 @@ impl<W: World> Engine<W> {
         }
     }
 
-    /// Schedules a typed event at instant `at` (allocation-free).
+    /// Schedules an event at instant `at` (allocation-free).
     ///
     /// Events scheduled in the past of the current event are executed at the
     /// current instant instead (time never goes backwards); this matches how
     /// a hardware completion that "already happened" is observed at poll time.
     pub fn schedule(&mut self, at: SimTime, ev: W::Event) {
-        let key = self.compat_key();
-        self.push(at, 0, key, Slot::Typed(ev));
+        let key = self.plain_key();
+        self.push(at, 0, key, ev);
     }
 
-    /// Schedules a typed event `delay` after the current instant.
+    /// Schedules an event `delay` after the current instant.
     pub fn schedule_in(&mut self, delay: crate::time::SimDuration, ev: W::Event) {
         let at = self.now + delay;
         self.schedule(at, ev);
     }
 
-    /// Schedules a typed event at `at` with an execution-invariant
+    /// Schedules an event at `at` with an execution-invariant
     /// [`OrderKey`] built from `origin` (the scheduling object's stable id,
     /// below [`u32::MAX`]). Same-instant ties then resolve identically no
     /// matter how the world is sharded across engines. Returns a handle for
     /// [`Engine::cancel`].
     pub fn schedule_from(&mut self, origin: u32, at: SimTime, ev: W::Event) -> EventHandle {
         let key = self.origin_key(origin);
-        self.push(at, 0, key, Slot::Typed(ev));
+        self.push(at, 0, key, ev);
         EventHandle { key }
     }
 
-    /// Schedules a typed event at `at`, ordered **after** every ordinary
+    /// Schedules an event at `at`, ordered **after** every ordinary
     /// event at the same instant (regardless of scheduling order). Park/wake
     /// ticks use this so a woken main loop observes every frame delivered at
     /// its wake instant — exactly as the pre-park polling loop did, whose
     /// self-reschedule always carried a later sequence number than any
     /// same-instant delivery.
     pub fn schedule_last(&mut self, at: SimTime, ev: W::Event) {
-        let key = self.compat_key();
-        self.push(at, 1, key, Slot::Typed(ev));
+        let key = self.plain_key();
+        self.push(at, 1, key, ev);
     }
 
     /// [`Engine::schedule_last`] with an origin-tagged key
     /// ([`Engine::schedule_from`]); returns a cancellation handle.
     pub fn schedule_last_from(&mut self, origin: u32, at: SimTime, ev: W::Event) -> EventHandle {
         let key = self.origin_key(origin);
-        self.push(at, 1, key, Slot::Typed(ev));
+        self.push(at, 1, key, ev);
         EventHandle { key }
     }
 
-    /// Schedules a typed class-0 event carrying a key built by *another*
+    /// Schedules a class-0 event carrying a key built by *another*
     /// engine — how a sharded world injects a peer shard's cross-boundary
     /// events so the merged dispatch order matches the single-engine run.
     pub fn schedule_injected(&mut self, at: SimTime, key: OrderKey, ev: W::Event) {
-        self.push(at, 0, key, Slot::Typed(ev));
+        self.push(at, 0, key, ev);
     }
 
     /// Builds (and consumes) the next [`OrderKey`] for `origin` without
@@ -572,7 +524,7 @@ impl<W: World> Engine<W> {
         self.cur_key
     }
 
-    /// Cancels a pending typed event scheduled with
+    /// Cancels a pending event scheduled with
     /// [`Engine::schedule_from`] / [`Engine::schedule_last_from`]: the event
     /// is unlinked from the calendar (lazily, via a tombstone) and will
     /// never dispatch nor count as executed. Cancelling an event that
@@ -583,27 +535,6 @@ impl<W: World> Engine<W> {
     pub fn cancel(&mut self, handle: EventHandle) {
         self.queue.cancelled.insert(handle.key);
         self.queue.next_cache = None;
-    }
-
-    /// Schedules a boxed `action` closure to run at instant `at` — the
-    /// compatibility escape hatch for worlds without a typed event
-    /// vocabulary. Counted by [`Engine::boxed_scheduled`].
-    pub fn schedule_boxed<F>(&mut self, at: SimTime, action: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.boxed_scheduled += 1;
-        let key = self.compat_key();
-        self.push(at, 0, key, Slot::Boxed(Box::new(action)));
-    }
-
-    /// Schedules a boxed `action` closure `delay` after the current instant.
-    pub fn schedule_boxed_in<F>(&mut self, delay: crate::time::SimDuration, action: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        let at = self.now + delay;
-        self.schedule_boxed(at, action);
     }
 
     /// Runs events until the calendar is empty.
@@ -626,10 +557,7 @@ impl<W: World> Engine<W> {
             self.event_cap,
             self.now
         );
-        match ev.slot {
-            Slot::Typed(e) => world.handle(e, self),
-            Slot::Boxed(f) => f(world, self),
-        }
+        world.handle(ev.ev, self);
         self.cur_class = 0;
     }
 
@@ -694,134 +622,138 @@ impl<W: World> Engine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{SimDuration, SimTime};
+    use crate::time::SimDuration;
 
-    /// Closure-driven test worlds: no typed vocabulary.
-    macro_rules! boxed_world {
-        ($($t:ty),*) => {$(
-            impl World for $t {
-                type Event = NoEvent;
-                fn handle(&mut self, ev: NoEvent, _: &mut Engine<Self>) {
-                    match ev {}
+    /// The test world: each event is a `u32` mark. The handler logs the
+    /// mark and its dispatch instant, then schedules every follow-up
+    /// `(at, mark)` that `then` lists for the dispatched mark.
+    #[derive(Default)]
+    struct Log {
+        marks: Vec<u32>,
+        at: Vec<u64>,
+        then: Vec<(u32, SimTime, u32)>,
+    }
+
+    impl World for Log {
+        type Event = u32;
+        fn handle(&mut self, mark: u32, eng: &mut Engine<Self>) {
+            self.marks.push(mark);
+            self.at.push(eng.now().as_nanos());
+            for &(on, at, next) in &self.then {
+                if on == mark {
+                    eng.schedule(at, next);
                 }
             }
-        )*};
+        }
     }
-    boxed_world!(Vec<u32>, Vec<u64>, u32, ());
+
+    /// An engine holding `(at_ns, mark)` events, scheduled in slice order.
+    fn engine_with(events: &[(u64, u32)]) -> Engine<Log> {
+        let mut eng = Engine::new();
+        for &(at, mark) in events {
+            eng.schedule(SimTime::from_nanos(at), mark);
+        }
+        eng
+    }
+
+    /// Ticks every 100 ns until it has ticked `limit` times.
+    struct Ticker {
+        ticks: u32,
+        limit: u32,
+    }
+
+    impl World for Ticker {
+        type Event = ();
+        fn handle(&mut self, (): (), eng: &mut Engine<Self>) {
+            self.ticks += 1;
+            if self.ticks < self.limit {
+                eng.schedule_in(SimDuration::from_nanos(100), ());
+            }
+        }
+    }
 
     #[test]
     fn events_run_in_time_order() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_boxed(SimTime::from_nanos(30), |l: &mut Vec<u32>, _| l.push(3));
-        eng.schedule_boxed(SimTime::from_nanos(10), |l: &mut Vec<u32>, _| l.push(1));
-        eng.schedule_boxed(SimTime::from_nanos(20), |l: &mut Vec<u32>, _| l.push(2));
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3]);
-        assert_eq!(eng.boxed_scheduled(), 3);
+        let mut eng = engine_with(&[(30, 3), (10, 1), (20, 2)]);
+        let mut w = Log::default();
+        eng.run(&mut w);
+        assert_eq!(w.marks, [1, 2, 3]);
     }
 
     #[test]
     fn same_instant_events_are_fifo() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        for i in 0..5 {
-            eng.schedule_boxed(SimTime::from_nanos(7), move |l: &mut Vec<u32>, _| l.push(i));
-        }
-        eng.run(&mut log);
-        assert_eq!(log, vec![0, 1, 2, 3, 4]);
+        let events: Vec<_> = (0..5).map(|m| (7, m)).collect();
+        let mut eng = engine_with(&events);
+        let mut w = Log::default();
+        eng.run(&mut w);
+        assert_eq!(w.marks, [0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn handlers_can_reschedule_themselves() {
-        struct W {
-            count: u32,
-        }
-        enum Ev {
-            Tick,
-        }
-        impl World for W {
-            type Event = Ev;
-            fn handle(&mut self, ev: Ev, eng: &mut Engine<Self>) {
-                let Ev::Tick = ev;
-                self.count += 1;
-                if self.count < 10 {
-                    eng.schedule_in(SimDuration::from_nanos(100), Ev::Tick);
-                }
-            }
-        }
         let mut eng = Engine::new();
-        let mut w = W { count: 0 };
-        eng.schedule(SimTime::ZERO, Ev::Tick);
+        let mut w = Ticker {
+            ticks: 0,
+            limit: 10,
+        };
+        eng.schedule(SimTime::ZERO, ());
         eng.run(&mut w);
-        assert_eq!(w.count, 10);
+        assert_eq!(w.ticks, 10);
         assert_eq!(eng.now(), SimTime::from_nanos(900));
-        assert_eq!(eng.boxed_scheduled(), 0, "typed path never boxes");
     }
 
     #[test]
     fn run_until_respects_deadline() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0;
-        for i in 1..=10u64 {
-            eng.schedule_boxed(SimTime::from_nanos(i * 10), |w: &mut u32, _| *w += 1);
-        }
+        let events: Vec<_> = (1..=10).map(|i| (u64::from(i) * 10, i)).collect();
+        let mut eng = engine_with(&events);
+        let mut w = Log::default();
         eng.run_until(&mut w, SimTime::from_nanos(50));
-        assert_eq!(w, 5);
+        assert_eq!(w.marks, [1, 2, 3, 4, 5]);
         assert_eq!(eng.pending(), 5);
         eng.run(&mut w);
-        assert_eq!(w, 10);
+        assert_eq!(w.marks.len(), 10);
     }
 
     #[test]
     fn run_window_excludes_the_end_instant() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0;
-        for i in 1..=10u64 {
-            eng.schedule_boxed(SimTime::from_nanos(i * 10), |w: &mut u32, _| *w += 1);
-        }
+        let events: Vec<_> = (1..=10).map(|i| (u64::from(i) * 10, i)).collect();
+        let mut eng = engine_with(&events);
+        let mut w = Log::default();
         eng.run_window(&mut w, SimTime::from_nanos(50));
         assert_eq!(
-            w, 4,
+            w.marks.len(),
+            4,
             "the event at exactly 50 ns belongs to the next window"
         );
         eng.run_window(&mut w, SimTime::ZERO); // empty window: no-op
-        assert_eq!(w, 4);
+        assert_eq!(w.marks.len(), 4);
         eng.run(&mut w);
-        assert_eq!(w, 10);
+        assert_eq!(w.marks.len(), 10);
     }
 
     #[test]
     fn past_events_are_clamped_to_now() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_boxed(
-            SimTime::from_nanos(100),
-            |l: &mut Vec<u64>, e: &mut Engine<_>| {
-                // Scheduling "in the past" executes at the current instant.
-                e.schedule_boxed(
-                    SimTime::from_nanos(1),
-                    |l: &mut Vec<u64>, e: &mut Engine<_>| {
-                        l.push(e.now().as_nanos());
-                    },
-                );
-                l.push(e.now().as_nanos());
-            },
-        );
-        eng.run(&mut log);
-        assert_eq!(log, vec![100, 100]);
+        let mut eng = engine_with(&[(100, 1)]);
+        // Scheduling "in the past" executes at the current instant.
+        let mut w = Log {
+            then: vec![(1, SimTime::from_nanos(1), 2)],
+            ..Log::default()
+        };
+        eng.run(&mut w);
+        assert_eq!(w.marks, [1, 2]);
+        assert_eq!(w.at, [100, 100]);
     }
 
     #[test]
     #[should_panic(expected = "event cap")]
     fn runaway_schedules_trip_the_cap() {
-        fn forever(_: &mut (), eng: &mut Engine<()>) {
-            eng.schedule_boxed_in(SimDuration::from_nanos(1), forever);
-        }
         let mut eng = Engine::new();
         eng.set_event_cap(1_000);
-        eng.schedule_boxed(SimTime::ZERO, forever);
-        eng.run(&mut ());
+        eng.schedule(SimTime::ZERO, ());
+        eng.run(&mut Ticker {
+            ticks: 0,
+            limit: u32::MAX,
+        });
     }
 
     /// Regression: `step` used to bypass the event-cap guard that
@@ -830,23 +762,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "event cap")]
     fn stepping_counts_against_the_cap() {
-        fn forever(_: &mut (), eng: &mut Engine<()>) {
-            eng.schedule_boxed_in(SimDuration::from_nanos(1), forever);
-        }
         let mut eng = Engine::new();
         eng.set_event_cap(100);
-        eng.schedule_boxed(SimTime::ZERO, forever);
-        while eng.step(&mut ()) {}
+        eng.schedule(SimTime::ZERO, ());
+        let mut w = Ticker {
+            ticks: 0,
+            limit: u32::MAX,
+        };
+        while eng.step(&mut w) {}
     }
 
     #[test]
     fn step_runs_one_event() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0;
-        eng.schedule_boxed(SimTime::from_nanos(1), |w: &mut u32, _| *w += 1);
-        eng.schedule_boxed(SimTime::from_nanos(2), |w: &mut u32, _| *w += 1);
+        let mut eng = engine_with(&[(1, 1), (2, 2)]);
+        let mut w = Log::default();
         assert!(eng.step(&mut w));
-        assert_eq!(w, 1);
+        assert_eq!(w.marks, [1]);
         eng.clear();
         assert!(!eng.step(&mut w));
     }
@@ -855,81 +786,51 @@ mod tests {
     /// migrate back as the cursor advances — order is unaffected.
     #[test]
     fn heap_band_overflow_preserves_order() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        // Far band (≫ 262 µs), scheduled first.
-        eng.schedule_boxed(SimTime::from_millis(50), |l: &mut Vec<u32>, _| l.push(5));
-        eng.schedule_boxed(SimTime::from_millis(10), |l: &mut Vec<u32>, _| l.push(3));
-        // Near band.
-        eng.schedule_boxed(SimTime::from_nanos(900), |l: &mut Vec<u32>, _| l.push(1));
-        eng.schedule_boxed(SimTime::from_micros(200), |l: &mut Vec<u32>, _| l.push(2));
-        // Mid band: within the horizon of the second event but not the first.
-        eng.schedule_boxed(
-            SimTime::from_millis(10) + crate::time::SimDuration::from_micros(100),
-            |l: &mut Vec<u32>, _| l.push(4),
-        );
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3, 4, 5]);
+        let mut eng = engine_with(&[
+            // Far band (≫ 524 µs), scheduled first.
+            (50_000_000, 5),
+            (10_000_000, 3),
+            // Near band.
+            (900, 1),
+            (200_000, 2),
+            // Mid band: within the horizon of the second event but not the
+            // first.
+            (10_100_000, 4),
+        ]);
+        let mut w = Log::default();
+        eng.run(&mut w);
+        assert_eq!(w.marks, [1, 2, 3, 4, 5]);
     }
 
     /// A handler scheduling into its own (partially drained) wheel slot and
     /// beyond keeps the total order.
     #[test]
     fn rescheduling_into_the_cursor_slot_is_ordered() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_boxed(SimTime::from_nanos(512), |l: &mut Vec<u32>, e| {
-            l.push(1);
-            // Same wheel slot, later instant.
-            e.schedule_boxed(SimTime::from_nanos(700), |l: &mut Vec<u32>, _| l.push(2));
-            // Same slot, same instant: FIFO after the one above? No —
-            // ordered purely by (at, seq): 600 < 700.
-            e.schedule_boxed(SimTime::from_nanos(600), |l: &mut Vec<u32>, _| l.push(3));
-        });
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 3, 2]);
+        let mut eng = engine_with(&[(512, 1)]);
+        // Both land in the cursor slot; they order by instant (600 < 700),
+        // not by scheduling order.
+        let mut w = Log {
+            then: vec![
+                (1, SimTime::from_nanos(700), 2),
+                (1, SimTime::from_nanos(600), 3),
+            ],
+            ..Log::default()
+        };
+        eng.run(&mut w);
+        assert_eq!(w.marks, [1, 3, 2]);
     }
 
     #[test]
     fn schedule_last_orders_after_same_instant_events() {
-        struct W {
-            log: Vec<&'static str>,
-        }
-        enum Ev {
-            Ordinary,
-            Late,
-        }
-        impl World for W {
-            type Event = Ev;
-            fn handle(&mut self, ev: Ev, _: &mut Engine<Self>) {
-                self.log.push(match ev {
-                    Ev::Ordinary => "ordinary",
-                    Ev::Late => "late",
-                });
-            }
-        }
         let mut eng = Engine::new();
-        let mut w = W { log: Vec::new() };
+        let mut w = Log::default();
         let t = SimTime::from_nanos(500);
         // The late event is scheduled FIRST (lowest seq) yet runs last.
-        eng.schedule_last(t, Ev::Late);
-        eng.schedule(t, Ev::Ordinary);
-        eng.schedule(t, Ev::Ordinary);
+        eng.schedule_last(t, 9);
+        eng.schedule(t, 1);
+        eng.schedule(t, 2);
         eng.run(&mut w);
-        assert_eq!(w.log, vec!["ordinary", "ordinary", "late"]);
-    }
-
-    /// Typed worlds for origin-key and cancellation tests.
-    struct Log(Vec<u32>);
-    enum Tag {
-        Mark(u32),
-    }
-    impl World for Log {
-        type Event = Tag;
-        fn handle(&mut self, ev: Tag, _: &mut Engine<Self>) {
-            let Tag::Mark(v) = ev;
-            self.0.push(v);
-        }
+        assert_eq!(w.marks, [1, 2, 9]);
     }
 
     /// Same-instant origin-keyed events order by (gen, gen_class, origin,
@@ -938,13 +839,13 @@ mod tests {
     fn origin_keys_order_same_instant_ties_invariantly() {
         let t = SimTime::from_nanos(100);
         // Schedule origin 2 first, then origin 1: origin order wins.
-        let mut eng: Engine<Log> = Engine::new();
-        let mut w = Log(Vec::new());
-        eng.schedule_from(2, t, Tag::Mark(2));
-        eng.schedule_from(1, t, Tag::Mark(1));
-        eng.schedule_from(1, t, Tag::Mark(11)); // same origin: ctr keeps order
+        let mut eng = Engine::new();
+        let mut w = Log::default();
+        eng.schedule_from(2, t, 2);
+        eng.schedule_from(1, t, 1);
+        eng.schedule_from(1, t, 11); // same origin: ctr keeps order
         eng.run(&mut w);
-        assert_eq!(w.0, vec![1, 11, 2]);
+        assert_eq!(w.marks, [1, 11, 2]);
     }
 
     /// An injected event (foreign key) interleaves exactly where the key
@@ -952,9 +853,9 @@ mod tests {
     #[test]
     fn injected_keys_interleave_by_key() {
         let t = SimTime::from_nanos(64);
-        let mut eng: Engine<Log> = Engine::new();
-        let mut w = Log(Vec::new());
-        eng.schedule_from(5, t, Tag::Mark(5));
+        let mut eng = Engine::new();
+        let mut w = Log::default();
+        eng.schedule_from(5, t, 5);
         // A key another engine would have built for origin 3's first
         // emission at gen 0: sorts before origin 5.
         eng.schedule_injected(
@@ -965,27 +866,27 @@ mod tests {
                 origin: 3,
                 ctr: 1,
             },
-            Tag::Mark(3),
+            3,
         );
         eng.run(&mut w);
-        assert_eq!(w.0, vec![3, 5]);
+        assert_eq!(w.marks, [3, 5]);
     }
 
     /// A cancelled event never dispatches and never counts as executed —
     /// in the wheel band and in the heap band alike.
     #[test]
     fn cancelled_events_never_dispatch() {
-        let mut eng: Engine<Log> = Engine::new();
-        let mut w = Log(Vec::new());
-        let near = eng.schedule_from(1, SimTime::from_nanos(50), Tag::Mark(1));
-        let far = eng.schedule_from(1, SimTime::from_millis(10), Tag::Mark(2));
-        eng.schedule_from(1, SimTime::from_nanos(60), Tag::Mark(3));
+        let mut eng = Engine::new();
+        let mut w = Log::default();
+        let near = eng.schedule_from(1, SimTime::from_nanos(50), 1);
+        let far = eng.schedule_from(1, SimTime::from_millis(10), 2);
+        eng.schedule_from(1, SimTime::from_nanos(60), 3);
         assert_eq!(eng.pending(), 3);
         eng.cancel(near);
         eng.cancel(far);
         assert_eq!(eng.pending(), 1, "cancelled events leave the live count");
         eng.run(&mut w);
-        assert_eq!(w.0, vec![3]);
+        assert_eq!(w.marks, [3]);
         assert_eq!(eng.executed(), 1, "cancelled events do not execute");
     }
 
@@ -993,19 +894,19 @@ mod tests {
     /// ones.
     #[test]
     fn next_event_at_sees_through_cancellations() {
-        let mut eng: Engine<Log> = Engine::new();
+        let mut eng = Engine::new();
         assert_eq!(eng.next_event_at(), None);
-        let h = eng.schedule_from(1, SimTime::from_nanos(40), Tag::Mark(1));
-        eng.schedule_from(1, SimTime::from_micros(700), Tag::Mark(2)); // heap band
+        let h = eng.schedule_from(1, SimTime::from_nanos(40), 1);
+        eng.schedule_from(1, SimTime::from_micros(700), 2); // heap band
         assert_eq!(eng.next_event_at(), Some(SimTime::from_nanos(40)));
         eng.cancel(h);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));
-        let h2 = eng.schedule_from(2, SimTime::from_micros(600), Tag::Mark(3));
+        let h2 = eng.schedule_from(2, SimTime::from_micros(600), 3);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(600)));
         eng.cancel(h2);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));
-        let mut w = Log(Vec::new());
+        let mut w = Log::default();
         eng.run(&mut w);
-        assert_eq!(w.0, vec![2]);
+        assert_eq!(w.marks, [2]);
     }
 }

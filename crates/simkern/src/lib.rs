@@ -14,8 +14,7 @@
 //! * [`engine::Engine`] — a typed calendar-queue event loop (timer-wheel
 //!   near band + heap overflow), generic over a user-supplied world type `W`
 //!   whose [`engine::World::Event`] enum is stored inline — the steady state
-//!   of a simulation schedules without allocating. A boxed-closure escape
-//!   hatch ([`engine::Engine::schedule_boxed`]) remains for small worlds.
+//!   of a simulation schedules without allocating.
 //! * [`cost::CostModel`] — the Morello-calibrated cost constants (trampoline
 //!   ≈ 125 ns, cross-cVM call, umtx block/wake, …) with one documented field
 //!   per paper-reported overhead.

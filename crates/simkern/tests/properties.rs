@@ -1,26 +1,20 @@
 //! Property tests of the simulation kernel's ordering laws.
 
 use proptest::prelude::*;
-use simkern::engine::{Engine, NoEvent, World};
+use simkern::engine::{Engine, World};
 use simkern::resource::{BusyResource, FifoMutex};
 use simkern::time::{SimDuration, SimTime};
 
-/// Closure-driven test worlds (no typed vocabulary; newtypes because the
-/// orphan rule forbids implementing the foreign `World` trait on std types
-/// from an integration-test crate).
+/// Logs each event, an index into the schedule order, with its dispatch
+/// instant.
 struct Log(Vec<(u64, usize)>);
-struct Count(u32);
-macro_rules! boxed_world {
-    ($($t:ty),*) => {$(
-        impl World for $t {
-            type Event = NoEvent;
-            fn handle(&mut self, ev: NoEvent, _: &mut Engine<Self>) {
-                match ev {}
-            }
-        }
-    )*};
+
+impl World for Log {
+    type Event = usize;
+    fn handle(&mut self, i: usize, eng: &mut Engine<Self>) {
+        self.0.push((eng.now().as_nanos(), i));
+    }
 }
-boxed_world!(Log, Count);
 
 proptest! {
     /// The engine executes events in nondecreasing time order, regardless
@@ -31,9 +25,7 @@ proptest! {
         let mut eng: Engine<Log> = Engine::new();
         let mut log = Log(Vec::new());
         for (i, &t) in times.iter().enumerate() {
-            eng.schedule_boxed(SimTime::from_nanos(t), move |l: &mut Log, e| {
-                l.0.push((e.now().as_nanos(), i));
-            });
+            eng.schedule(SimTime::from_nanos(t), i);
         }
         eng.run(&mut log);
         let log = log.0;
@@ -51,16 +43,18 @@ proptest! {
     /// instants spanning both calendar bands.
     #[test]
     fn run_until_partitions_execution(times in proptest::collection::vec(0u64..600_000, 1..100), cut in 0u64..600_000) {
-        let mut eng: Engine<Count> = Engine::new();
-        let mut count = Count(0);
-        for &t in &times {
-            eng.schedule_boxed(SimTime::from_nanos(t), |c: &mut Count, _| c.0 += 1);
+        let mut eng: Engine<Log> = Engine::new();
+        let mut log = Log(Vec::new());
+        for (i, &t) in times.iter().enumerate() {
+            eng.schedule(SimTime::from_nanos(t), i);
         }
-        eng.run_until(&mut count, SimTime::from_nanos(cut));
-        let expect_first = times.iter().filter(|&&t| t <= cut).count() as u32;
-        prop_assert_eq!(count.0, expect_first);
-        eng.run(&mut count);
-        prop_assert_eq!(count.0, times.len() as u32);
+        eng.run_until(&mut log, SimTime::from_nanos(cut));
+        let expect_first = times.iter().filter(|&&t| t <= cut).count();
+        prop_assert_eq!(log.0.len(), expect_first);
+        prop_assert!(log.0.iter().all(|&(at, _)| at <= cut), "nothing past the deadline");
+        eng.run(&mut log);
+        prop_assert_eq!(log.0.len(), times.len());
+        prop_assert!(log.0[expect_first..].iter().all(|&(at, _)| at > cut), "the remainder only");
     }
 
     /// A BusyResource never overlaps grants and serves work conservatively:

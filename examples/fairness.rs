@@ -11,26 +11,16 @@
 //!
 //! Run with: `cargo run --release --example fairness`
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::AppSched;
-use capnet::scenario::{run_bandwidth_full, ScenarioKind, TrafficMode};
-use simkern::{CostModel, SimDuration};
-use updk::wire::Impairments;
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
+use simkern::SimDuration;
 
 fn row(mode: TrafficMode, sched: AppSched, name: &str) {
-    let out = run_bandwidth_full(
-        ScenarioKind::Scenario2Contended,
-        mode,
-        SimDuration::from_millis(150),
-        CostModel::morello(),
-        Impairments::default(),
-        sched,
-    )
-    .expect("contended run");
+    let out = ScenarioSpec::paper(ScenarioKind::Scenario2Contended, mode)
+        .duration(SimDuration::from_millis(150))
+        .app_sched(sched)
+        .run()
+        .expect("contended run");
     let r = match mode {
         TrafficMode::Server => &out.servers,
         TrafficMode::Client => &out.clients,

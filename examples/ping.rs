@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .build(&ip);
 
         let sent_at = now;
-        target.input_frame(now, &frame);
+        target.input_buf(now, &frame.into());
         now += SimDuration::from_micros(30); // polling delay at the target
         let replies = target.poll_tx(now);
         let reply = replies.first().ok_or("no reply frame")?;

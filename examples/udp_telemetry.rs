@@ -28,10 +28,10 @@ fn pump(now: SimTime, a: &mut FStack, b: &mut FStack) {
             break;
         }
         for f in fa {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in fb {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
     }
 }

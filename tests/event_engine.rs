@@ -1,30 +1,30 @@
-//! Witnesses for the quiescence-aware typed event engine: the steady-state
-//! hot path schedules **zero boxed events** (every event is an inline
-//! [`capnet::NetEvent`]), idle loop polls collapse by orders of magnitude
-//! versus the poll-every-tick baseline, and the per-kind event counters
-//! account for the run.
-
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
+//! Witnesses for the quiescence-aware typed event engine: every event is
+//! an inline [`capnet::NetEvent`], idle loop polls collapse by orders of
+//! magnitude versus the poll-every-tick baseline, and the per-kind event
+//! counters account for the run.
 
 use capnet::netsim::NetSim;
-use capnet::scenario::run_star_iperf;
+use capnet::scenario::ScenarioSpec;
 use capnet::topology::build_chain;
 use simkern::{CostModel, SimDuration};
 
-/// The `tests/hotpath_allocs`-style witness for the scheduler: a
-/// steady-state star run schedules no boxed closure events at all — the
-/// whole run rides the typed, allocation-free calendar.
+/// A switched steady state rides the typed calendar: the engine has no
+/// boxed-event path, so every event of a 4-leaf star run is an inline
+/// [`capnet::NetEvent`], and the per-kind counters partition the
+/// executed-event total through the switch as well.
 #[test]
 fn steady_state_run_schedules_zero_boxed_events() {
-    let out = run_star_iperf(4, SimDuration::from_millis(25), CostModel::morello(), 7).unwrap();
+    let out = ScenarioSpec::star(4)
+        .duration(SimDuration::from_millis(25))
+        .seed(7)
+        .run()
+        .unwrap();
     assert!(out.trace.frames > 1_000, "the run produced real traffic");
+    let c = out.counters;
     assert_eq!(
-        out.counters.boxed_events, 0,
-        "hot path boxed an event: {:?}",
-        out.counters
+        c.loop_polls + c.deliveries + c.switch_hops + c.stale_wakes,
+        out.events,
+        "counter classes must partition the event total: {c:?}"
     );
 }
 
@@ -61,7 +61,6 @@ fn parking_collapses_idle_polls_and_counters_account_for_the_run() {
     );
     assert!(c.parks > 1_000, "steady state parks between frames: {c:?}");
     assert!(c.wakes > 1_000, "deliveries wake parked loops: {c:?}");
-    assert_eq!(c.boxed_events, 0);
 
     // Every executed event is accounted for by exactly one counter class.
     // An executed event is a LoopIter, a Wake, a Deliver or a SwitchHop;

@@ -71,7 +71,7 @@ impl Net {
             // Everything here is unicast to a known MAC; deliver by IP.
             for f in fd.iter().chain(&fg).chain(&fa) {
                 for s in [&mut self.drone, &mut self.gcs, &mut self.attacker] {
-                    s.input_frame(now, f);
+                    s.input_buf(now, f);
                 }
             }
         }

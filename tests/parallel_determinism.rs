@@ -10,16 +10,10 @@
 //! random topology lands in exactly one shard, co-location constraints
 //! hold, and plans are pure functions of the graph.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::NetSim;
 use capnet::parallel::{LookaheadMatrix, Profitability, ROUND_COST_EVENTS};
-use capnet::scenario::{run_dumbbell_fairness, run_star_iperf, run_star_iperf_impaired};
 use capnet::topology::{build_chain, partition_shards, ShardGraph};
-use capnet::SimOutcome;
+use capnet::{ScenarioSpec, SimOutcome};
 use proptest::prelude::*;
 use simkern::{CostModel, SimDuration};
 use updk::wire::Impairments;
@@ -257,8 +251,11 @@ fn lossy_star_is_byte_identical_at_any_worker_count() {
 /// copies one to do it.
 #[test]
 fn forced_sharding_matches_single_engine() {
-    let base =
-        run_star_iperf(4, SimDuration::from_millis(10), CostModel::morello(), 3).expect("baseline");
+    let base = ScenarioSpec::star(4)
+        .duration(SimDuration::from_millis(10))
+        .seed(3)
+        .run()
+        .expect("baseline");
     let run_forced = |workers: usize| {
         let mut sim = NetSim::new(CostModel::morello());
         sim.set_seed(3);
@@ -266,7 +263,7 @@ fn forced_sharding_matches_single_engine() {
         sim.set_adaptive_workers(false);
         let star = capnet::topology::build_star(&mut sim, 4).expect("star");
         for (i, &leaf) in star.leaves.iter().enumerate() {
-            let port = 5301 + i as u16; // run_star_iperf's port layout
+            let port = 5301 + i as u16; // ScenarioSpec::star's port layout
             sim.add_server(star.hub, format!("hub-rx{i}"), port)
                 .expect("srv");
             sim.add_client(
@@ -298,21 +295,22 @@ fn forced_sharding_matches_single_engine() {
 /// output can show the would-be width without sharding.
 #[test]
 fn scenario_helpers_still_run_single_engine() {
-    let out = run_star_iperf_impaired(
-        2,
-        SimDuration::from_millis(10),
-        CostModel::morello(),
-        11,
-        Impairments::lossy(10),
-    )
-    .expect("impaired star runs");
+    let out = ScenarioSpec::star(2)
+        .duration(SimDuration::from_millis(10))
+        .seed(11)
+        .impairments(Impairments::lossy(10))
+        .run()
+        .expect("impaired star runs");
     assert_eq!(out.workers, 1);
     assert!(
         out.lookahead_ns > 0,
         "a cut 2-shard plan exists, so the would-be window is reported"
     );
     assert_eq!(out.rounds.rounds, 0, "but no sharded driver ever ran");
-    let bell = run_dumbbell_fairness(2, SimDuration::from_millis(10), CostModel::morello(), 11)
+    let bell = ScenarioSpec::dumbbell(2)
+        .duration(SimDuration::from_millis(10))
+        .seed(11)
+        .run()
         .expect("dumbbell runs");
     assert_eq!(bell.workers, 1);
 }

@@ -1,47 +1,36 @@
 //! The TCP protocol-fidelity scenarios: lossy-WAN goodput (SACK on/off)
 //! and mixed congestion-control dumbbell fairness. Like every scenario in
-//! this repository they are pure functions of their argument tuple — the
+//! this repository they are pure functions of their spec — the
 //! digests pinned here are the seed values; update them only for a change
 //! that *intends* to alter wire behavior — and byte-identical at any
 //! worker count.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{
-    fairness_index, run_dumbbell_cc, run_dumbbell_cc_impaired, run_lossy_wan, run_star_iperf_custom,
-};
+use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::CcAlgo;
-use simkern::{CostModel, SimDuration};
+use simkern::SimDuration;
 use updk::wire::Impairments;
 
 const LOSSY_SEED: u64 = 77;
 const LOSS_PER_MILLE: u16 = 20;
+
+/// The 2-leaf star over a 2% lossy fabric, SACK on at every host.
+fn lossy_sack_star(cc: CcAlgo) -> ScenarioSpec {
+    ScenarioSpec::star(2)
+        .duration(SimDuration::from_millis(40))
+        .seed(LOSSY_SEED)
+        .impairments(Impairments::lossy(LOSS_PER_MILLE))
+        .congestion(cc)
+        .sack(true)
+}
 
 /// CUBIC + SACK star over a 2% lossy fabric, across worker counts: the
 /// new protocol machinery (scoreboard retransmits, cubic window growth)
 /// must shard exactly like the classic path does.
 #[test]
 fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
-    let run = |workers: usize| {
-        run_star_iperf_custom(
-            2,
-            SimDuration::from_millis(40),
-            CostModel::morello(),
-            LOSSY_SEED,
-            Impairments {
-                loss_per_mille: LOSS_PER_MILLE,
-                ..Default::default()
-            },
-            workers,
-            CcAlgo::Cubic,
-            true,
-        )
-        .expect("lossy star runs")
-    };
-    let base = run(1);
+    let base = lossy_sack_star(CcAlgo::Cubic)
+        .run()
+        .expect("lossy star runs");
     assert!(base.trace.frames > 1_000, "real traffic flowed");
     assert!(
         base.impairment_stats.lost > 0,
@@ -53,53 +42,16 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
     );
     // Same scenario with Reno: the CC choice genuinely reaches the wire
     // once loss makes the algorithms recover differently.
-    let reno = run_star_iperf_custom(
-        2,
-        SimDuration::from_millis(40),
-        CostModel::morello(),
-        LOSSY_SEED,
-        Impairments {
-            loss_per_mille: LOSS_PER_MILLE,
-            ..Default::default()
-        },
-        1,
-        CcAlgo::Reno,
-        true,
-    )
-    .expect("reno star runs");
+    let reno = lossy_sack_star(CcAlgo::Reno).run().expect("reno star runs");
     assert_ne!(
         base.trace.digest, reno.trace.digest,
         "CUBIC and Reno must diverge under loss"
     );
-    // The deprecated wrapper leaves adaptive selection on, so these runs
-    // collapse back to one engine — proving the wrapper still delegates
-    // byte-identically through the adaptive path.
-    for workers in [2usize, 4] {
-        let out = run(workers);
-        assert_eq!(
-            base.trace, out.trace,
-            "workers={workers}: byte-identical trace"
-        );
-        assert_eq!(base.servers, out.servers, "workers={workers}: reports");
-        assert_eq!(
-            base.impairment_stats, out.impairment_stats,
-            "workers={workers}: impairment totals"
-        );
-    }
-    // And genuinely sharded (adaptive off): the protocol machinery must
+    // Genuinely sharded (adaptive off): the protocol machinery must
     // survive real window-driven execution, not just the collapsed path.
-    let sharded = capnet::ScenarioSpec::star(2)
-        .duration(SimDuration::from_millis(40))
-        .costs(CostModel::morello())
-        .seed(LOSSY_SEED)
-        .impairments(Impairments {
-            loss_per_mille: LOSS_PER_MILLE,
-            ..Default::default()
-        })
+    let sharded = lossy_sack_star(CcAlgo::Cubic)
         .workers(2)
         .adaptive_workers(false)
-        .congestion(CcAlgo::Cubic)
-        .sack(true)
         .run()
         .expect("sharded lossy star runs");
     assert_eq!(sharded.workers, 2, "forced plan must stay sharded");
@@ -116,11 +68,16 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
 /// timeout/fast-retransmit-only recovery, and both runs are deterministic.
 #[test]
 fn sack_recovers_goodput_on_a_lossy_wan() {
-    let dur = SimDuration::from_millis(40);
-    let with_sack = run_lossy_wan(dur, CostModel::morello(), LOSSY_SEED, LOSS_PER_MILLE, true)
-        .expect("sack run");
-    let without = run_lossy_wan(dur, CostModel::morello(), LOSSY_SEED, LOSS_PER_MILLE, false)
-        .expect("plain run");
+    let wan = |sack: bool| {
+        ScenarioSpec::star(2)
+            .duration(SimDuration::from_millis(40))
+            .seed(LOSSY_SEED)
+            .impairments(Impairments::lossy(LOSS_PER_MILLE))
+            .sack(sack)
+            .run()
+    };
+    let with_sack = wan(true).expect("sack run");
+    let without = wan(false).expect("plain run");
     let sum =
         |out: &capnet::SimOutcome| -> f64 { out.servers.iter().map(|r| r.mbit_per_sec()).sum() };
     let (on, off) = (sum(&with_sack), sum(&without));
@@ -133,8 +90,7 @@ fn sack_recovers_goodput_on_a_lossy_wan() {
         "SACK must not cost goodput: {on:.1} vs {off:.1} Mbit/s"
     );
     // Determinism: replaying either configuration reproduces it exactly.
-    let replay =
-        run_lossy_wan(dur, CostModel::morello(), LOSSY_SEED, LOSS_PER_MILLE, true).expect("replay");
+    let replay = wan(true).expect("replay");
     assert_eq!(with_sack.trace, replay.trace, "same seed, same trace");
     assert_eq!(with_sack.servers, replay.servers);
 }
@@ -146,19 +102,16 @@ fn sack_recovers_goodput_on_a_lossy_wan() {
 /// for ANY algorithm mix — the CC plumbing is opt-in by construction.
 #[test]
 fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
-    let lossy = Impairments {
-        loss_per_mille: 10,
-        ..Default::default()
+    let bell = |algos: &[CcAlgo], impairments: Impairments| {
+        ScenarioSpec::dumbbell(2)
+            .duration(SimDuration::from_millis(30))
+            .seed(5)
+            .pair_cc(algos)
+            .impairments(impairments)
+            .run()
     };
-    let out = run_dumbbell_cc_impaired(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[CcAlgo::Reno, CcAlgo::Cubic],
-        lossy,
-    )
-    .expect("dumbbell runs");
+    let lossy = Impairments::lossy(10);
+    let out = bell(&[CcAlgo::Reno, CcAlgo::Cubic], lossy).expect("dumbbell runs");
     assert_eq!(out.servers.len(), 2);
     assert_eq!(
         out.trace.digest, 0x3afe5d066e8e0e51,
@@ -172,15 +125,7 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
     );
     // The same lossy run with both senders on Reno must differ: the mixed
     // algorithms genuinely reached the wire.
-    let all_reno = run_dumbbell_cc_impaired(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[CcAlgo::Reno, CcAlgo::Reno],
-        lossy,
-    )
-    .expect("all-reno dumbbell");
+    let all_reno = bell(&[CcAlgo::Reno, CcAlgo::Reno], lossy).expect("all-reno dumbbell");
     assert_ne!(
         out.trace.digest, all_reno.trace.digest,
         "mixing CUBIC in must change recovery behavior under loss"
@@ -188,28 +133,14 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
     // An all-default, drop-free run (empty algo slice) must reproduce the
     // repo's long-pinned classic dumbbell digest — the new plumbing
     // changes nothing unless asked.
-    let classic = run_dumbbell_cc(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[],
-    )
-    .expect("classic dumbbell");
+    let classic = bell(&[], Impairments::default()).expect("classic dumbbell");
     assert_eq!(
         classic.trace.digest, 0x5a1adb9234ff72c8,
         "default-CC dumbbell must keep the classic pinned digest"
     );
     // And with an explicit all-CUBIC mix but no loss, the flows never
     // leave slow start, so even the algorithm swap is invisible.
-    let clean_cubic = run_dumbbell_cc(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[CcAlgo::Cubic],
-    )
-    .expect("clean cubic dumbbell");
+    let clean_cubic = bell(&[CcAlgo::Cubic], Impairments::default()).expect("clean cubic dumbbell");
     assert_eq!(
         clean_cubic.trace.digest, 0x5a1adb9234ff72c8,
         "drop-free dumbbell is rwnd-limited: CC choice is inert"

@@ -3,17 +3,10 @@
 //! of a shared segment, and the determinism contract extended to switched
 //! worlds — same seed, byte-identical delivery traces.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 mod testutil;
 
 use capnet::netsim::NetSim;
-use capnet::scenario::{
-    fairness_index, run_dumbbell_fairness, run_star_iperf, run_star_iperf_impaired,
-};
+use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::topology::build_chain;
 use simkern::{CostModel, SimDuration};
 use testutil::SwitchedSegment;
@@ -26,12 +19,19 @@ use updk::wire::Impairments;
 /// a change that *intends* to alter wire behavior.
 #[test]
 fn star_and_dumbbell_trace_digests_are_pinned() {
-    let star = run_star_iperf(8, SimDuration::from_millis(40), CostModel::morello(), 21).unwrap();
+    let star = ScenarioSpec::star(8)
+        .duration(SimDuration::from_millis(40))
+        .seed(21)
+        .run()
+        .unwrap();
     assert_eq!(star.trace.digest, 0xfa099c29f1e937d5, "star trace drifted");
     assert_eq!(star.trace.frames, 5658);
     assert_eq!(star.trace.bytes, 5_593_940);
-    let bell =
-        run_dumbbell_fairness(2, SimDuration::from_millis(30), CostModel::morello(), 5).unwrap();
+    let bell = ScenarioSpec::dumbbell(2)
+        .duration(SimDuration::from_millis(30))
+        .seed(5)
+        .run()
+        .unwrap();
     assert_eq!(
         bell.trace.digest, 0x5a1adb9234ff72c8,
         "dumbbell trace drifted"
@@ -46,7 +46,11 @@ fn star_and_dumbbell_trace_digests_are_pinned() {
 #[test]
 fn star_8_clients_is_seed_deterministic() {
     let run = |seed: u64| {
-        run_star_iperf(8, SimDuration::from_millis(40), CostModel::morello(), seed).unwrap()
+        ScenarioSpec::star(8)
+            .duration(SimDuration::from_millis(40))
+            .seed(seed)
+            .run()
+            .unwrap()
     };
     let o1 = run(21);
     let o2 = run(21);
@@ -67,14 +71,12 @@ fn star_8_clients_is_seed_deterministic() {
 #[test]
 fn impaired_star_replays_by_seed() {
     let run = |seed: u64| {
-        run_star_iperf_impaired(
-            4,
-            SimDuration::from_millis(30),
-            CostModel::morello(),
-            seed,
-            Impairments::lossy(20),
-        )
-        .unwrap()
+        ScenarioSpec::star(4)
+            .duration(SimDuration::from_millis(30))
+            .seed(seed)
+            .impairments(Impairments::lossy(20))
+            .run()
+            .unwrap()
     };
     let o1 = run(7);
     let o2 = run(7);
@@ -90,7 +92,11 @@ fn impaired_star_replays_by_seed() {
 /// the fabric must have seen real convergence (forwarding on every flow).
 #[test]
 fn star_8_clients_saturate_the_shared_uplink() {
-    let out = run_star_iperf(8, SimDuration::from_millis(60), CostModel::morello(), 3).unwrap();
+    let out = ScenarioSpec::star(8)
+        .duration(SimDuration::from_millis(60))
+        .seed(3)
+        .run()
+        .unwrap();
     assert_eq!(out.servers.len(), 8);
     let per_flow: Vec<f64> = out.servers.iter().map(|r| r.mbit_per_sec()).collect();
     let total: f64 = per_flow.iter().sum();
@@ -111,8 +117,11 @@ fn star_8_clients_saturate_the_shared_uplink() {
 /// it evenly (Jain's index near 1).
 #[test]
 fn dumbbell_shares_the_trunk_fairly() {
-    let out =
-        run_dumbbell_fairness(3, SimDuration::from_millis(60), CostModel::morello(), 11).unwrap();
+    let out = ScenarioSpec::dumbbell(3)
+        .duration(SimDuration::from_millis(60))
+        .seed(11)
+        .run()
+        .unwrap();
     assert_eq!(out.servers.len(), 3);
     let per_flow: Vec<f64> = out.servers.iter().map(|r| r.mbit_per_sec()).collect();
     let total: f64 = per_flow.iter().sum();
@@ -131,7 +140,11 @@ fn dumbbell_shares_the_trunk_fairly() {
 #[test]
 fn dumbbell_is_seed_deterministic() {
     let run = |seed: u64| {
-        run_dumbbell_fairness(2, SimDuration::from_millis(30), CostModel::morello(), seed).unwrap()
+        ScenarioSpec::dumbbell(2)
+            .duration(SimDuration::from_millis(30))
+            .seed(seed)
+            .run()
+            .unwrap()
     };
     let o1 = run(5);
     let o2 = run(5);
